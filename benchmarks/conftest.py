@@ -22,18 +22,25 @@ from repro.pipeline import ExperimentConfig
 
 __all__ = ["table_config", "report"]
 
-#: File that accumulates the reproduced tables/figures so they survive
+#: File that collects the reproduced tables/figures so they survive
 #: pytest's output capture (the timing table alone is not the result).
 _REPORT_PATH = os.environ.get(
     "REPRO_BENCH_REPORT",
     os.path.join(os.path.dirname(__file__), "benchmarks_report.txt"),
 )
 
+#: Has this process written the report yet?  The first write truncates,
+#: so the file holds one session's report, never a pile of repeats.
+_report_started = [False]
+
 
 def report(text: str = "") -> None:
-    """Print ``text`` and append it to the bench report file."""
+    """Print ``text`` and write it to the bench report file (the first
+    call in a process starts the file afresh, later calls append)."""
     print(text)
-    with open(_REPORT_PATH, "a", encoding="utf-8") as fh:
+    mode = "a" if _report_started[0] else "w"
+    _report_started[0] = True
+    with open(_REPORT_PATH, mode, encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 

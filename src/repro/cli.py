@@ -662,11 +662,22 @@ def _serve_config(args, host=None, port=None):
     return ServeConfig(**kwargs)
 
 
+def _park_until_interrupted() -> None:
+    """Park the main thread while the frontend accepts on its own
+    thread; returns on Ctrl-C.  ``time.sleep`` is reliably interruptible
+    by SIGINT, unlike a bare lock wait."""
+    import time
+
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+
+
 def _serve_cluster(args, artifact) -> int:
     """``repro serve --replicas N``: ReplicaSet + Router, park, drain
     gracefully on Ctrl-C."""
-    import time
-
     from .serve import ReplicaSet, Router, RouterConfig
 
     config = _serve_config(args)
@@ -681,13 +692,10 @@ def _serve_cluster(args, artifact) -> int:
             print("  POST /v1/predict | /v1/logits | /v1/intensity ; "
                   "GET /healthz | /metrics ; POST /admin/drain   "
                   "(Ctrl-C drains and stops)")
-            try:
-                while True:
-                    time.sleep(3600)
-            except KeyboardInterrupt:
-                print("\ndraining (new requests get 503 + Retry-After)")
-                router.begin_drain()
-                rs.begin_drain()
+            _park_until_interrupted()
+            print("\ndraining (new requests get 503 + Retry-After)")
+            router.begin_drain()
+            rs.begin_drain()
     return 0
 
 
@@ -713,30 +721,15 @@ def _cmd_serve(args) -> int:
               f"cache_size={args.cache_size}")
         print("  POST /v1/predict | /v1/logits | /v1/intensity ; "
               "GET /healthz | /v1/model   (Ctrl-C stops)")
-        try:
-            # The frontend already accepts on its own thread; just park
-            # the main thread until interrupted (Server.stop on exit
-            # shuts the accept loop down cleanly).  time.sleep is
-            # reliably interruptible by SIGINT, unlike a bare lock wait.
-            import time
-
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            print("\nshutting down")
+        _park_until_interrupted()  # Server.stop on exit ends the accept loop
+        print("\nshutting down")
     return 0
 
 
 def _cmd_bench_serve(args) -> int:
     import numpy as np
 
-    from .serve import (
-        Server,
-        http_sender,
-        resolve_artifact,
-        run_load,
-        write_snapshot,
-    )
+    from .serve import http_sender, run_load, write_snapshot
 
     rng = np.random.default_rng(0)
     samples = rng.random((64, 28, 28))
@@ -749,184 +742,87 @@ def _cmd_bench_serve(args) -> int:
         send = http_sender(args.url)
         stats = run_load(send, samples, args.requests, args.concurrency)
         snapshot = {"target": args.url, "load": stats}
-    elif args.replicas > 1:
-        if args.model is None:
-            print("bench-serve needs --model (or --url for a live server)",
-                  file=sys.stderr)
-            return 2
-        return _bench_serve_cluster(args, samples)
+    elif args.model is None:
+        print("bench-serve needs --model (or --url for a live server)",
+              file=sys.stderr)
+        return 2
     else:
-        if args.model is None:
-            print("bench-serve needs --model (or --url for a live server)",
-                  file=sys.stderr)
-            return 2
-        artifact = resolve_artifact(args.model)
-        config = _serve_config(args)
-        plan = config.resolved_faults()
-        with Server(artifact=artifact, config=config) as server:
-            server.warmup()
-            mismatches = [0]
-            if args.check:
-                from .utils.serialization import load_model
-
-                reference = load_model(artifact).inference_engine(
-                    precision=server.resolved_precision()
-                )
-                expected = {
-                    np.ascontiguousarray(sample).tobytes():
-                    reference.predict(sample[None])[0]
-                    for sample in samples
-                }
-
-                def send(sample):
-                    row = np.asarray(
-                        server.submit("predict", sample).result()
-                    )
-                    key = np.ascontiguousarray(sample).tobytes()
-                    if not np.array_equal(row, expected[key]):
-                        mismatches[0] += 1
-                    return row
-            else:
-                send = (lambda sample:
-                        server.submit("predict", sample).result())
-            stats = run_load(send, samples, args.requests, args.concurrency)
-            stats["batcher"] = server.stats()["batcher"]
-            if plan:
-                # Chaos run: drive traffic until the respawned shards
-                # are folded back in and /healthz reads plain "ok".
-                import time as _time
-
-                give_up = _time.monotonic() + 30.0
-                while (server.health()["status"] != "ok"
-                       and _time.monotonic() < give_up):
-                    server.settle(timeout=5.0)
-                    for future in [server.submit("predict", sample)
-                                   for sample in samples[:8]]:
-                        future.result()
-                health = server.health()
-                stats["health"] = health
-                print(f"faults: {plan} -> health {health['status']} "
-                      f"(restarts {health['restarts']}, "
-                      f"failures {health['failures']}, "
-                      f"retries {health['retries']})")
-                if health["status"] != "ok":
-                    print("FAULT RECOVERY FAILED: /healthz did not return "
-                          "to ok", file=sys.stderr)
-                    return 1
-            if args.check:
-                if mismatches[0]:
-                    print(f"CHECK FAILED: {mismatches[0]} served "
-                          f"prediction(s) differ from serial engine",
-                          file=sys.stderr)
-                    return 1
-                print("check: served predictions byte-identical to serial "
-                      "engine (verified under load)")
-            snapshot = {"target": str(artifact), "load": stats}
+        snapshot = _bench_serve_model(args, samples)
+        if snapshot is None:
+            return 1
+        stats = snapshot["load"]
+    replicas = (f"  (replicas {snapshot['replicas']})"
+                if "replicas" in snapshot else "")
     print(f"{stats['requests']} requests, concurrency "
           f"{stats['concurrency']}: {stats['throughput_rps']} req/s  "
           f"p50 {stats['p50_ms']} ms  p90 {stats['p90_ms']} ms  "
-          f"p99 {stats['p99_ms']} ms")
+          f"p99 {stats['p99_ms']} ms{replicas}")
     if args.output:
         write_snapshot(args.output, snapshot)
         print(f"wrote {args.output}")
     return 0
 
 
-def _bench_serve_cluster(args, samples) -> int:
-    """``repro bench-serve --replicas N``: the closed loop through a
-    real ReplicaSet + Router over HTTP, with optional chaos recovery
-    and byte-identity verification."""
-    import time
-
-    import numpy as np
-
-    from .serve import (
-        ReplicaSet,
-        Router,
-        RouterConfig,
-        http_sender,
-        resolve_artifact,
-        run_load,
-        write_snapshot,
-    )
+def _bench_serve_model(args, samples) -> Optional[dict]:
+    """``repro bench-serve --model``: the closed loop against an
+    in-process Server or, with ``--replicas N``, through a real
+    ReplicaSet + Router over HTTP.  With ``--faults`` it drives recovery
+    until ``/healthz`` reads ok; with ``--check`` every answer is
+    verified against the serial engine.  Returns the snapshot, or None
+    when recovery or the check failed."""
+    from .serve import resolve_artifact
+    from .serve.bench import deployment, verified_load
+    from .utils.serialization import load_model
 
     artifact = resolve_artifact(args.model)
     config = _serve_config(args)
     plan = config.resolved_faults()
-    mismatches = [0]
-    with ReplicaSet(artifact, replicas=args.replicas, config=config) as rs:
-        router = Router(
-            replica_set=rs,
-            config=RouterConfig(probe_interval=0.05,
-                                hedge_ms=args.hedge_ms))
-        router.start()
-        url = router.serve_http(port=0).url
-        raw_send = http_sender(url)
-        if args.check:
-            from .utils.serialization import load_model
-
-            reference = load_model(artifact).inference_engine(
-                precision=config.precision or "double")
-            expected = {
-                np.ascontiguousarray(sample).tobytes():
-                int(reference.predict(sample[None])[0])
-                for sample in samples
-            }
-
-            def send(sample):
-                label = raw_send(sample)["predictions"]
-                key = np.ascontiguousarray(sample).tobytes()
-                if int(label) != expected[key]:
-                    mismatches[0] += 1
-                return label
+    cluster = args.replicas > 1
+    replicas = args.replicas if cluster else None
+    with deployment(config, artifact, replicas=replicas,
+                    hedge_ms=args.hedge_ms) as (target, load):
+        precision = (config.precision or "double") if cluster \
+            else target.resolved_precision()
+        reference = (load_model(artifact).inference_engine(
+            precision=precision).predict(samples) if args.check else None)
+        if not plan:
+            load["recover"] = None  # no chaos: nothing to recover from
+        stats, verdict = verified_load(
+            samples=samples, n_requests=args.requests,
+            concurrency=args.concurrency, reference=reference, **load)
+        snapshot = {"target": str(artifact), "load": stats}
+        if cluster:
+            stats["replicas"] = snapshot["replicas"] = args.replicas
         else:
-            send = raw_send
-        stats = run_load(send, samples, args.requests, args.concurrency)
-        stats["replicas"] = args.replicas
+            stats["batcher"] = target.stats()["batcher"]
         if plan:
-            # Chaos run: drive probe rounds and traffic until respawned
-            # replicas rejoin and the router aggregates plain "ok".
-            give_up = time.monotonic() + 60.0
-            while (router.health()["status"] != "ok"
-                   and time.monotonic() < give_up):
-                rs.settle(timeout=10.0)
-                router.probe_once()
-                for sample in samples[:max(4, 2 * args.replicas)]:
-                    send(sample)
-            health = router.health()
-            supervision = rs.stats()
-            counters = router.stats()["counters"]
-            stats["health"] = health
-            print(f"faults: {plan} -> health {health['status']} "
-                  f"(replica respawns {supervision['restarts']}, "
-                  f"failovers "
-                  f"{int(counters.get('repro_router_failovers_total', 0))}, "
-                  f"quarantined {supervision['quarantined']})")
+            health = stats["health"] = target.health()
+            if cluster:
+                failovers = target.stats()["counters"].get(
+                    "repro_router_failovers_total", 0)
+                detail = (f"replica respawns {health['restarts']}, "
+                          f"failovers {int(failovers)}, "
+                          f"quarantined {health['quarantined']}")
+            else:
+                detail = (f"restarts {health['restarts']}, "
+                          f"failures {health['failures']}, "
+                          f"retries {health['retries']}")
+            print(f"faults: {plan} -> health {health['status']} ({detail})")
             if health["status"] != "ok":
-                print("FAULT RECOVERY FAILED: router /healthz did not "
-                      "return to ok", file=sys.stderr)
-                router.stop()
-                return 1
-        if args.check:
-            if mismatches[0]:
-                print(f"CHECK FAILED: {mismatches[0]} routed "
-                      f"prediction(s) differ from serial engine",
-                      file=sys.stderr)
-                router.stop()
-                return 1
-            print("check: routed predictions byte-identical to serial "
-                  "engine (verified under load)")
-        router.stop()
-    print(f"{stats['requests']} requests, concurrency "
-          f"{stats['concurrency']}: {stats['throughput_rps']} req/s  "
-          f"p50 {stats['p50_ms']} ms  p90 {stats['p90_ms']} ms  "
-          f"p99 {stats['p99_ms']} ms  (replicas {args.replicas})")
-    if args.output:
-        write_snapshot(args.output, {"target": str(artifact),
-                                     "replicas": args.replicas,
-                                     "load": stats})
-        print(f"wrote {args.output}")
-    return 0
+                healthz = "router /healthz" if cluster else "/healthz"
+                print(f"FAULT RECOVERY FAILED: {healthz} did not return "
+                      "to ok", file=sys.stderr)
+                return None
+    if args.check:
+        served = "routed" if cluster else "served"
+        if verdict["mismatches"]:
+            print(f"CHECK FAILED: {verdict['mismatches']} {served} "
+                  f"prediction(s) differ from serial engine",
+                  file=sys.stderr)
+            return None
+        print(f"check: {served} predictions byte-identical to serial "
+              "engine (verified under load)")
+    return snapshot
 
 
 def _cmd_tail(args) -> int:

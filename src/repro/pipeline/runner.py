@@ -22,7 +22,6 @@ its retries — or raises a *deterministic* error such as
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from typing import (
 import numpy as np
 
 from ..data import Dataset
+from ..utils.backoff import Backoff
 from .config import ExperimentConfig
 from .recipes import RECIPES, RecipeResult, prepare_data, run_recipe
 
@@ -201,12 +201,10 @@ class SupervisedPool:
         self.max_workers = int(max_workers)
         self.max_retries = int(max_retries)
         self.timeout_s = timeout_s
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self.on_event = on_event
-        self._rng = random.Random(seed)
+        self._backoff = Backoff(backoff_base, backoff_cap, seed)
 
     # -- supervision loop -------------------------------------------------
 
@@ -323,7 +321,7 @@ class SupervisedPool:
                            message=message, attempts=attempt + 1,
                            permanent=False)
             else:
-                delay = self._backoff(attempt)
+                delay = self._backoff.delay(attempt)
                 heapq.heappush(
                     ready, (time.monotonic() + delay, index, attempt + 1))
                 self._emit("point_retry", index=index, error_type=kind,
@@ -354,12 +352,6 @@ class SupervisedPool:
         if slot.executor is not None:
             slot.executor.shutdown(wait=False, cancel_futures=True)
             slot.executor = None
-
-    def _backoff(self, attempt: int) -> float:
-        """Bounded exponential backoff with jitter (the serving layer's
-        respawn curve): cap * U[0.5, 1.0) spread to decorrelate slots."""
-        base = min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-        return base * (0.5 + self._rng.random() / 2.0)
 
     def _emit(self, event: str, **fields: Any) -> None:
         if self.on_event is not None:

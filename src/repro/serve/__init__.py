@@ -43,6 +43,7 @@ from .bench import (
     benchmark_serving,
     http_sender,
     run_load,
+    verified_load,
     write_snapshot,
 )
 from .cluster import REPLICA_STATES, ReplicaSet
@@ -86,6 +87,7 @@ __all__ = [
     "benchmark_serving",
     "http_sender",
     "run_load",
+    "verified_load",
     "write_snapshot",
     "ServeError",
     "DeadlineExceeded",

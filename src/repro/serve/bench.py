@@ -10,6 +10,13 @@ each case carries its own latency percentiles, the ``summary`` block
 holds the speedup ratios future PRs compare against, and a serial
 one-request-at-a-time engine loop anchors the baseline.
 
+:func:`verified_load` is the chaos harness on top of it: every answer
+is checked against a serial-engine reference, and after the load
+recovery rounds run until health reads ``ok`` again.  The fault- and
+replica-recovery benchmarks and ``repro bench-serve --check`` all run it
+against a :func:`deployment`: one in-process server, or replicas behind
+a router.
+
 Also home to :func:`http_sender`, which turns a server URL into a
 ``send`` callable so ``repro bench-serve --url`` can load-test a live
 deployment over the wire.
@@ -17,19 +24,22 @@ deployment over the wire.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import random
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
+from ..utils.backoff import Backoff
 from .server import ServeConfig, Server
 
-__all__ = ["run_load", "benchmark_serving", "benchmark_fault_recovery",
-           "benchmark_replica_recovery", "http_sender", "write_snapshot"]
+__all__ = ["run_load", "verified_load", "deployment", "benchmark_serving",
+           "benchmark_fault_recovery", "benchmark_replica_recovery",
+           "http_sender", "write_snapshot"]
 
 
 def _latency_stats(latencies_s: List[float], elapsed_s: float,
@@ -46,6 +56,25 @@ def _latency_stats(latencies_s: List[float], elapsed_s: float,
         "p99_ms": round(float(np.percentile(lat, 99)), 4),
         "max_ms": round(float(lat.max()), 4),
     }
+
+
+def _workload(model, artifact, seed: int, distinct_images: int,
+              image_size: int, verbose: bool):
+    """The seeded request samples, the model they are served from (read
+    from ``artifact`` when no live model is given) and a progress
+    printer that is silent unless ``verbose``."""
+    rng = np.random.default_rng(seed)
+    samples = rng.random((distinct_images, image_size, image_size))
+    if model is None:
+        from ..utils.serialization import load_model
+
+        model = load_model(artifact)
+
+    def note(message: str) -> None:
+        if verbose:
+            print(message, flush=True)
+
+    return samples, model, note
 
 
 def run_load(
@@ -98,6 +127,129 @@ def run_load(
     return _latency_stats(flat, elapsed, concurrency)
 
 
+def verified_load(
+    send: Callable[[np.ndarray], object],
+    samples: Sequence[np.ndarray],
+    n_requests: int,
+    concurrency: int,
+    health: Callable[[], Dict[str, Any]],
+    reference: Optional[Sequence] = None,
+    recover: Optional[Callable[[], object]] = None,
+    recovery_requests: int = 8,
+    give_up_s: float = 30.0,
+    trace_health: bool = False,
+) -> Tuple[Dict[str, float], Dict[str, Any]]:
+    """:func:`run_load` with every answer verified, then recovery.
+
+    Each answer ``send(samples[i])`` returns must equal ``reference[i]``
+    (``np.array_equal``; ``reference=None`` skips the check).  With
+    ``trace_health`` a poller records every change of
+    ``health()["status"]`` from the start of the load to the end of
+    recovery.  With ``recover``, rounds of ``recover()`` (settle
+    respawns, run probes) followed by ``recovery_requests`` concurrent
+    verified requests run until health reads ``ok`` or ``give_up_s``
+    passes — a respawned worker only counts as recovered once traffic
+    reaches it.
+
+    Returns ``(stats, verdict)``: the load's :func:`run_load` stats, and
+    ``byte_identical``, ``mismatches``, ``health_trajectory``,
+    ``final_status``, ``recovered`` and ``recovery_s`` (``None`` if
+    health never read ``ok``).
+    """
+    index_of = {np.ascontiguousarray(sample).tobytes(): index
+                for index, sample in enumerate(samples)}
+    wrong: List[int] = []
+
+    def checked(sample: np.ndarray):
+        answer = send(sample)
+        if reference is not None:
+            index = index_of[np.ascontiguousarray(sample).tobytes()]
+            if not np.array_equal(np.asarray(answer), reference[index]):
+                wrong.append(index)
+        return answer
+
+    trajectory: List[str] = []
+    stop_polling = threading.Event()
+
+    def poll() -> None:
+        while not stop_polling.is_set():
+            status = health()["status"]
+            if not trajectory or trajectory[-1] != status:
+                trajectory.append(status)
+            time.sleep(0.001)
+
+    poller = threading.Thread(target=poll, daemon=True)
+    if trace_health:
+        poller.start()
+    try:
+        stats = run_load(checked, samples, n_requests, concurrency)
+        begin = time.perf_counter()
+        while True:
+            final_status = health()["status"]
+            elapsed = time.perf_counter() - begin
+            if final_status == "ok" or recover is None \
+                    or elapsed >= give_up_s:
+                break
+            recover()
+            run_load(checked, samples, recovery_requests, recovery_requests)
+    finally:
+        stop_polling.set()
+        if trace_health:
+            poller.join(timeout=1.0)
+    recovered = final_status == "ok"
+    return stats, {
+        "byte_identical": not wrong,
+        "mismatches": len(wrong),
+        "health_trajectory": trajectory,
+        "final_status": final_status,
+        "recovered": recovered,
+        "recovery_s": round(elapsed, 4) if recovered else None,
+    }
+
+
+@contextlib.contextmanager
+def deployment(config: ServeConfig, artifact=None, model=None,
+               replicas: Optional[int] = None,
+               hedge_ms: Optional[float] = None, kind: str = "predict"):
+    """A warmed-up deployment plus the :func:`verified_load` keyword
+    arguments that drive it, as ``(front, load)``.
+
+    ``replicas=None`` is one in-process :class:`Server` (``front``) fed
+    through ``submit``; otherwise that many process replicas behind a
+    :class:`~repro.serve.router.Router` (``front``, whose ``health()``
+    also carries the set's restarts) fed over HTTP.
+    """
+    if replicas is None:
+        with Server(model=model, artifact=artifact, config=config) as server:
+            server.warmup()
+            yield server, {
+                "send": lambda sample: server.submit(kind, sample).result(),
+                "health": server.health,
+                "recover": lambda: server.settle(timeout=5.0),
+            }
+        return
+    from .cluster import ReplicaSet
+    from .router import Router, RouterConfig
+
+    with ReplicaSet(artifact, replicas=replicas, config=config) as rs, \
+            Router(replica_set=rs, config=RouterConfig(
+                probe_interval=0.05, hedge_ms=hedge_ms)) as router:
+        post = http_sender(router.serve_http(port=0).url)
+
+        def recover() -> None:
+            # Respawned replicas rejoin through probe rounds.
+            rs.settle(timeout=10.0)
+            router.probe_once()
+
+        yield router, {
+            "send": lambda sample: post(sample)["predictions"],
+            "health": router.health,
+            "recover": recover,
+            "recovery_requests": max(4, 2 * replicas),
+            "give_up_s": 60.0,
+        }
+
+
 def http_sender(url: str, route: str = "/v1/predict",
                 timeout: float = 30.0,
                 max_retries: int = 3,
@@ -119,7 +271,7 @@ def http_sender(url: str, route: str = "/v1/predict",
     import urllib.request
 
     endpoint = url.rstrip("/") + route
-    jitter = random.Random(0xB0FF)
+    retry_backoff = Backoff(backoff, backoff_cap, seed=0xB0FF)
 
     def _backoff_delay(attempt: int, retry_after: Optional[str]) -> float:
         if retry_after is not None:
@@ -127,8 +279,7 @@ def http_sender(url: str, route: str = "/v1/predict",
                 return min(float(retry_after), backoff_cap)
             except ValueError:
                 pass  # HTTP-date flavor or garbage; fall through
-        delay = min(backoff_cap, backoff * (2 ** attempt))
-        return delay * (0.5 + jitter.random() / 2)
+        return retry_backoff.delay(attempt)
 
     def send(sample: np.ndarray):
         payload = {"inputs": np.asarray(sample).tolist()}
@@ -187,22 +338,12 @@ def benchmark_serving(
     """
     batch_sizes = sorted(set(int(b) for b in batch_sizes))
     shard_counts = sorted(set(int(s) for s in shard_counts))
-    rng = np.random.default_rng(seed)
-    samples = rng.random((distinct_images, image_size, image_size))
-
-    def note(message: str) -> None:
-        if verbose:
-            print(message, flush=True)
-
+    samples, base_model, note = _workload(model, artifact, seed,
+                                          distinct_images, image_size,
+                                          verbose)
     cases: Dict[str, Dict[str, object]] = {}
 
     # -- Baseline: one-at-a-time engine calls, no serving stack at all.
-    if model is None:
-        from ..utils.serialization import load_model
-
-        base_model = load_model(artifact)
-    else:
-        base_model = model
     engine = base_model.inference_engine(precision=precision)
     engine.predict(samples[:1])  # allocation warm-up
     start = time.perf_counter()
@@ -321,24 +462,10 @@ def benchmark_fault_recovery(
             f"fault recovery needs a healthy shard to retry on; got "
             f"shards={shards}"
         )
-    rng = np.random.default_rng(seed)
-    samples = rng.random((distinct_images, image_size, image_size))
-    index_of = {
-        np.ascontiguousarray(sample).tobytes(): index
-        for index, sample in enumerate(samples)
-    }
-
-    def note(message: str) -> None:
-        if verbose:
-            print(message, flush=True)
-
+    samples, base_model, note = _workload(model, artifact, seed,
+                                          distinct_images, image_size,
+                                          verbose)
     # -- Serial-engine ground truth every response is checked against.
-    if model is None:
-        from ..utils.serialization import load_model
-
-        base_model = load_model(artifact)
-    else:
-        base_model = model
     engine = base_model.inference_engine(precision=precision)
     reference = np.asarray(getattr(engine, kind)(samples))
 
@@ -347,72 +474,19 @@ def benchmark_fault_recovery(
             precision=precision, max_batch=max_batch, max_delay=max_delay,
             shards=shards, backend=backend, faults=faults,
         )
-        statuses: List[str] = []
-        stop_polling = threading.Event()
-        mismatches = [0]
-        with Server(model=model, artifact=artifact, config=config) as server:
-            server.warmup()
-
-            def poll() -> None:
-                while not stop_polling.is_set():
-                    status = server.health()["status"]
-                    if not statuses or statuses[-1] != status:
-                        statuses.append(status)
-                    time.sleep(0.001)
-
-            poller = threading.Thread(target=poll, daemon=True)
-            poller.start()
-
-            def send(sample: np.ndarray):
-                row = np.asarray(server.submit(kind, sample).result())
-                index = index_of[np.ascontiguousarray(sample).tobytes()]
-                if not np.array_equal(row, reference[index]):
-                    mismatches[0] += 1
-                return row
-
-            stats = run_load(send, samples, n_requests, concurrency)
-
-            # -- Recovery: drive traffic until the respawned shard has
-            # served a batch again and /healthz is back to plain "ok".
-            recovery_s: Optional[float] = None
-            if server.health()["status"] == "ok":
-                recovery_s = 0.0
-            else:
-                begin = time.perf_counter()
-                give_up = begin + 30.0
-                while time.perf_counter() < give_up:
-                    server.settle(timeout=5.0)
-                    futures = [
-                        server.submit(kind, samples[i % len(samples)])
-                        for i in range(shards * max_batch)
-                    ]
-                    for i, future in enumerate(futures):
-                        send_index = i % len(samples)
-                        row = np.asarray(future.result())
-                        if not np.array_equal(row, reference[send_index]):
-                            mismatches[0] += 1
-                    if server.health()["status"] == "ok":
-                        recovery_s = time.perf_counter() - begin
-                        break
-
-            stop_polling.set()
-            poller.join(timeout=1.0)
-            final_health = server.health()
+        with deployment(config, artifact, model, kind=kind) as (server, load):
+            stats, verdict = verified_load(
+                samples=samples, n_requests=n_requests,
+                concurrency=concurrency, reference=reference,
+                recovery_requests=shards * max_batch, trace_health=True,
+                **load)
             pool_stats = server.stats()["pool"]
-
-        stats["byte_identical"] = mismatches[0] == 0
-        stats["mismatches"] = mismatches[0]
-        stats["health_trajectory"] = statuses
-        stats["final_status"] = final_health["status"]
-        stats["recovered"] = final_health["status"] == "ok"
-        stats["recovery_s"] = (
-            round(recovery_s, 4) if recovery_s is not None else None
-        )
+        stats.update(verdict)
         stats["restarts"] = pool_stats["restarts"]
         stats["failures"] = pool_stats["failures"]
         stats["retries"] = pool_stats["retries"]
         note(f"{label}: {stats['throughput_rps']} rps, "
-             f"health {' -> '.join(statuses) or 'ok'}, "
+             f"health {' -> '.join(stats['health_trajectory']) or 'ok'}, "
              f"restarts {stats['restarts']}, "
              f"byte_identical {stats['byte_identical']}")
         return stats
@@ -494,26 +568,15 @@ def benchmark_replica_recovery(
     throughput retained through the kill (vs the same-size no-fault
     cluster).
     """
-    from .cluster import ReplicaSet
-    from .router import Router, RouterConfig
-
     if kill_replicas < 2:
         raise ValueError(
             f"replica recovery needs a healthy replica to fail over to; "
             f"got kill_replicas={kill_replicas}"
         )
     replica_counts = sorted(set(int(r) for r in replica_counts))
-    rng = np.random.default_rng(seed)
-    samples = rng.random((distinct_images, image_size, image_size))
-    index_of = {
-        np.ascontiguousarray(sample).tobytes(): index
-        for index, sample in enumerate(samples)
-    }
-
-    def note(message: str) -> None:
-        if verbose:
-            print(message, flush=True)
-
+    samples, base_model, note = _workload(model, artifact, seed,
+                                          distinct_images, image_size,
+                                          verbose)
     # -- Serial-engine ground truth; replicas need an artifact on disk.
     import tempfile
 
@@ -524,11 +587,6 @@ def benchmark_replica_recovery(
         tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-replica-")
         artifact = save_model(Path(tmpdir.name) / "model.npz", model,
                               precision=precision)
-        base_model = model
-    else:
-        from ..utils.serialization import load_model
-
-        base_model = load_model(artifact)
     engine = base_model.inference_engine(precision=precision)
     reference = np.asarray(engine.predict(samples))
 
@@ -538,75 +596,22 @@ def benchmark_replica_recovery(
             precision=precision, max_batch=max_batch, max_delay=max_delay,
             shards=shards, backend=backend, faults=faults,
         )
-        statuses: List[str] = []
-        stop_polling = threading.Event()
-        mismatches = [0]
-        with ReplicaSet(artifact, replicas=replicas, config=config) as rs:
-            router = Router(replica_set=rs,
-                            config=RouterConfig(probe_interval=0.05))
-            router.start()
-            url = router.serve_http(port=0).url
-            raw_send = http_sender(url)
-
-            def poll() -> None:
-                while not stop_polling.is_set():
-                    status = router.health()["status"]
-                    if not statuses or statuses[-1] != status:
-                        statuses.append(status)
-                    time.sleep(0.001)
-
-            poller = threading.Thread(target=poll, daemon=True)
-            poller.start()
-
-            def send(sample: np.ndarray):
-                label_got = raw_send(sample)["predictions"]
-                index = index_of[np.ascontiguousarray(sample).tobytes()]
-                if int(label_got) != int(reference[index]):
-                    mismatches[0] += 1
-                return label_got
-
-            stats = run_load(send, samples, n_requests, concurrency)
-
-            # -- Recovery: probe + traffic until the respawned replica
-            # rejoined and the router aggregates plain "ok" again.
-            recovery_s: Optional[float] = None
-            if router.health()["status"] == "ok":
-                recovery_s = 0.0
-            else:
-                begin = time.perf_counter()
-                give_up = begin + 60.0
-                while time.perf_counter() < give_up:
-                    rs.settle(timeout=10.0)
-                    router.probe_once()
-                    for i in range(max(4, replicas * 2)):
-                        send(samples[i % len(samples)])
-                    if router.health()["status"] == "ok":
-                        recovery_s = time.perf_counter() - begin
-                        break
-
-            stop_polling.set()
-            poller.join(timeout=1.0)
-            final_health = router.health()
-            counters = router.stats()["counters"]
-            supervision = rs.stats()
-            router.stop()
-
-        stats["byte_identical"] = mismatches[0] == 0
-        stats["mismatches"] = mismatches[0]
-        stats["health_trajectory"] = statuses
-        stats["final_status"] = final_health["status"]
-        stats["recovered"] = final_health["status"] == "ok"
-        stats["recovery_s"] = (
-            round(recovery_s, 4) if recovery_s is not None else None
-        )
+        with deployment(config, artifact, replicas=replicas) as (front, load):
+            stats, verdict = verified_load(
+                samples=samples, n_requests=n_requests,
+                concurrency=concurrency, reference=reference,
+                trace_health=True, **load)
+            counters = front.stats()["counters"]
+            respawns = front.health()["restarts"]
+        stats.update(verdict)
         stats["replicas"] = replicas
-        stats["respawns"] = supervision["restarts"]
+        stats["respawns"] = respawns
         stats["failovers"] = int(
             counters.get("repro_router_failovers_total", 0))
         stats["ejections"] = int(
             counters.get("repro_router_ejections_total", 0))
         note(f"{label}: {stats['throughput_rps']} rps, "
-             f"health {' -> '.join(statuses) or 'ok'}, "
+             f"health {' -> '.join(stats['health_trajectory']) or 'ok'}, "
              f"respawns {stats['respawns']}, "
              f"failovers {stats['failovers']}, "
              f"byte_identical {stats['byte_identical']}")

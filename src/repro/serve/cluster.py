@@ -215,6 +215,13 @@ class ReplicaSet:
         ready = parent_conn.poll(self.start_timeout)
         retry = False
         with self._lock:
+            if self._stop_event.is_set():
+                # stop() ran while this replica was starting; a child it
+                # never saw would park forever and hang interpreter exit.
+                proc.kill()
+                parent_conn.close()
+                replica.state = "stopped"
+                return
             if replica.conn is not None:
                 replica.conn.close()
             replica.proc = proc

@@ -1,9 +1,15 @@
-"""Stdlib HTTP/JSON entry point over a running :class:`~repro.serve.Server`.
+"""Stdlib HTTP/JSON plumbing for replicas and the router.
 
 No framework, no dependency: :class:`HTTPFrontend` is a
 ``ThreadingHTTPServer`` whose handler threads block on the programmatic
 API — which routes through the micro-batcher, so concurrent HTTP clients
 are coalesced into engine batches exactly like programmatic callers.
+The same frontend serves a :class:`~repro.serve.Server` replica and the
+:class:`~repro.serve.router.Router`: :class:`JSONHandler` owns what the
+two share (response writing, ``/healthz``, ``/metrics``,
+``/admin/drain``, the 404 envelope and the ``Content-Length`` guard),
+and each subclass adds only its own routes.  :func:`fetch` is the
+matching client call the router probes and forwards with.
 
 Endpoints
 ---------
@@ -27,7 +33,7 @@ encoder); pre-encoded complex fields are sent as
 header wins) — after which it fails fast with **504** instead of
 queueing forever.  Errors come back as ``{"error": "..."}``:
 
-* 400 — malformed request (bad JSON, shapes, types)
+* 400 — malformed request (bad JSON, shapes, types, ``Content-Length``)
 * 429 — admission window full (``max_inflight``); honors ``Retry-After``
 * 503 — draining, or no healthy shard left; honors ``Retry-After``
 * 504 — the request's deadline expired before a result was produced
@@ -45,8 +51,10 @@ import json
 import math
 import random
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -58,7 +66,8 @@ from .errors import (
     Overloaded,
 )
 
-__all__ = ["HTTPFrontend", "jittered_retry_after", "RETRY_AFTER_JITTER"]
+__all__ = ["HTTPFrontend", "JSONHandler", "fetch", "jittered_retry_after",
+           "RETRY_AFTER_JITTER"]
 
 #: ``Retry-After`` jitter band: responses draw uniformly from
 #: ``[low, high) x suggested``.  Tests enforce this range.
@@ -85,6 +94,26 @@ def jittered_retry_after(suggested: float) -> str:
         factor = low + (high - low) * _retry_after_rng.random()
     return f"{base * factor:.3f}"
 
+
+def fetch(url: str, method: str = "GET", body: Optional[bytes] = None,
+          headers: Optional[Mapping[str, str]] = None,
+          timeout: float = 30.0) -> Tuple[int, Mapping[str, str], bytes]:
+    """One HTTP request; returns ``(status, headers, body)``.
+
+    Error statuses are answers like any other (urllib's ``HTTPError`` is
+    unwrapped into the tuple); only connection-level failures — refused,
+    reset, timed out — raise.
+    """
+    request = urllib.request.Request(url, data=body,
+                                     headers=dict(headers or {}),
+                                     method=method)
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.headers, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers or {}, exc.read()
+
+
 #: POST route -> (request kind, response field name).
 _ROUTES = {
     "/v1/predict": ("predict", "predictions"),
@@ -97,6 +126,20 @@ _MAX_BODY = 64 * 1024 * 1024  # refuse absurd request bodies outright
 
 class _BadRequest(ValueError):
     """A client error that should produce a 400, not a 500."""
+
+
+#: Request failures -> HTTP status, first match wins (see
+#: :mod:`repro.serve.errors`); a bare ``ValueError`` is a shape or
+#: validation error surfaced by the engine.  Anything else is a 500.
+_ERROR_STATUS = (
+    (_BadRequest, 400),
+    (DeadlineExceeded, 504),
+    (Overloaded, 429),
+    (Draining, 503),
+    (NoHealthyShards, 503),
+    (FaultInjected, 500),
+    (ValueError, 400),
+)
 
 
 def _parse_deadline_ms(payload: dict,
@@ -147,128 +190,156 @@ def _parse_inputs(payload: dict) -> np.ndarray:
     return inputs
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request; the serving ``Server`` hangs off the HTTP server."""
+class JSONHandler(BaseHTTPRequestHandler):
+    """What every frontend answers the same way.
+
+    ``self.server.app`` is the served object — anything with
+    ``health()``, ``metrics_text()``, ``metrics.content_type`` and
+    ``begin_drain()``.  Subclasses answer every other path in
+    :meth:`route_get` / :meth:`route_post`; both default to the 404
+    envelope.
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
         pass  # request logging is the operator's job, not stderr's
 
-    def _send_json(self, status: int, payload: dict,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    @property
+    def app(self):
+        return self.server.app
+
+    def send_body(self, status: int, body: bytes,
+                  headers: Optional[Mapping[str, str]] = None) -> None:
+        """Write one response; ``Content-Type`` defaults to JSON."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+        headers = {"Content-Type": "application/json", **(headers or {}),
+                   "Content-Length": str(len(body))}
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _app(self):
-        return self.server.app
+    def send_json(self, status: int, payload: dict,
+                  headers: Optional[Dict[str, str]] = None) -> None:
+        self.send_body(status, json.dumps(payload).encode("utf-8"), headers)
 
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
+    def not_found(self) -> None:
+        self.send_json(404, {"error": f"unknown path {self.path}"})
+
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
         if self.path == "/healthz":
-            health = self._app().health()
+            health = self.app.health()
             # ok/degraded still serve traffic (200); draining/unhealthy
             # tell load balancers to route elsewhere (503).
             status = 200 if health.get("status") in ("ok", "degraded") \
                 else 503
-            self._send_json(status, health)
+            self.send_json(status, health)
         elif self.path == "/metrics":
-            app = self._app()
-            body = app.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", app.metrics.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif self.path == "/v1/model":
-            self._send_json(200, self._app().info())
+            self.send_body(200, self.app.metrics_text().encode("utf-8"),
+                           {"Content-Type": self.app.metrics.content_type})
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+            self.route_get()
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
+        body = self._read_body()
+        if body is None:
+            return
         if self.path == "/admin/drain":
             # Graceful drain: the request is a signal, not a payload —
-            # any body is drained off the keep-alive socket and ignored.
-            length = int(self.headers.get("Content-Length", 0))
-            if 0 < length <= _MAX_BODY:
-                self.rfile.read(length)
-            self._app().begin_drain()
-            self._send_json(200, {"status": "draining"})
-            return
+            # any body was drained off the keep-alive socket above.
+            self.app.begin_drain()
+            self.send_json(200, {"status": "draining"})
+        else:
+            self.route_post(body)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or None after refusing a malformed or
+        oversized ``Content-Length`` with 400.  A refused body is never
+        read, so its bytes would sit on the keep-alive socket to be
+        misparsed as the next request: the refusal closes the
+        connection (``Connection: close``)."""
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= _MAX_BODY:
+            self.send_json(400, {"error": f"Content-Length {raw!r} is not "
+                                          f"in 0..{_MAX_BODY} bytes"},
+                           {"Connection": "close"})
+            return None
+        return self.rfile.read(length) if length else b""
+
+    def route_get(self) -> None:
+        self.not_found()
+
+    def route_post(self, body: bytes) -> None:
+        self.not_found()
+
+
+class _Handler(JSONHandler):
+    """A replica's model routes; the serving ``Server`` is the app."""
+
+    def route_get(self) -> None:
+        if self.path == "/v1/model":
+            self.send_json(200, self.app.info())
+        else:
+            self.not_found()
+
+    def route_post(self, body: bytes) -> None:
         route = _ROUTES.get(self.path)
         if route is None:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+            self.not_found()
             return
         kind, field = route
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            if length <= 0 or length > _MAX_BODY:
-                # Refusing without reading the body would leave its
-                # bytes on a keep-alive socket to be misparsed as the
-                # next request — drop the connection instead.
-                self.close_connection = True
-                if length <= 0:
-                    raise _BadRequest("empty request body")
-                raise _BadRequest(
-                    f"request body of {length} bytes exceeds the "
-                    f"{_MAX_BODY}-byte limit"
-                )
+            if not body:
+                raise _BadRequest("empty request body")
             try:
-                payload = json.loads(self.rfile.read(length))
+                payload = json.loads(body)
             except json.JSONDecodeError as exc:
                 raise _BadRequest(f"invalid JSON: {exc}") from exc
             deadline_ms = _parse_deadline_ms(
                 payload, self.headers.get("X-Deadline-Ms")
             )
             inputs = _parse_inputs(payload)
-            result = getattr(self._app(), kind)(inputs,
-                                                deadline_ms=deadline_ms)
-        except _BadRequest as exc:
-            self._send_json(400, {"error": str(exc)})
-        except DeadlineExceeded as exc:
-            self._send_json(504, {"error": str(exc)})
-        except Overloaded as exc:
-            self._send_json(429, {"error": str(exc)},
-                            {"Retry-After":
-                             jittered_retry_after(exc.retry_after)})
-        except Draining as exc:
-            self._send_json(503, {"error": str(exc)},
-                            {"Retry-After":
-                             jittered_retry_after(exc.retry_after)})
-        except NoHealthyShards as exc:
-            self._send_json(503, {"error": str(exc)})
-        except FaultInjected as exc:
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-        except ValueError as exc:
-            # Shape/validation errors surfaced by the engine.
-            self._send_json(400, {"error": str(exc)})
+            result = getattr(self.app, kind)(inputs, deadline_ms=deadline_ms)
         except Exception as exc:  # noqa: BLE001 — must answer the client
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+            status = next((code for error, code in _ERROR_STATUS
+                           if isinstance(exc, error)), 500)
+            message = f"{type(exc).__name__}: {exc}" if status == 500 \
+                else str(exc)
+            headers = None
+            if isinstance(exc, (Overloaded, Draining)):
+                headers = {"Retry-After":
+                           jittered_retry_after(exc.retry_after)}
+            self.send_json(status, {"error": message}, headers)
         else:
-            self._send_json(200, {field: np.asarray(result).tolist()})
+            self.send_json(200, {field: np.asarray(result).tolist()})
+
+
+class _ThreadingServer(ThreadingHTTPServer):
+    daemon_threads = True
+    # The stdlib backlog of 5 overflows when dozens of clients connect at
+    # once (every router hop and every http_sender request is a fresh
+    # connection); each dropped SYN stalls its client ~1 s on retransmit.
+    request_queue_size = 128
 
 
 class HTTPFrontend:
-    """Serve a :class:`~repro.serve.Server` over HTTP on a daemon thread.
+    """Serve ``app`` over HTTP on a daemon thread.
 
-    ``port=0`` binds an ephemeral port; read the result from ``.url``.
+    ``handler`` picks the routes: the default serves a
+    :class:`~repro.serve.Server` replica; the router passes its relay
+    handler.  ``port=0`` binds an ephemeral port; read the result from
+    ``.url``.
     """
 
-    def __init__(self, app, host: str = "127.0.0.1", port: int = 8000) -> None:
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
+    def __init__(self, app, host: str = "127.0.0.1", port: int = 8000,
+                 handler: Type[JSONHandler] = _Handler) -> None:
+        self.httpd = _ThreadingServer((host, port), handler)
         self.httpd.app = app
         self._thread: threading.Thread | None = None
 
@@ -285,7 +356,7 @@ class HTTPFrontend:
     def start(self) -> "HTTPFrontend":
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self.httpd.serve_forever, name="repro-serve-http",
+                target=self.httpd.serve_forever, name="repro-http",
                 daemon=True,
             )
             self._thread.start()

@@ -46,13 +46,9 @@ first answer wins (tail-latency insurance priced at one extra request).
 from __future__ import annotations
 
 import json
-import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import (
     FIRST_COMPLETED,
     ThreadPoolExecutor,
@@ -61,7 +57,8 @@ from concurrent.futures import (
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
-from .http import jittered_retry_after
+from ..utils.backoff import Backoff
+from .http import HTTPFrontend, JSONHandler, fetch, jittered_retry_after
 
 __all__ = [
     "Router",
@@ -178,13 +175,24 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self._trial_inflight = False
         if self.state == "half_open":
-            self.state = "open"
-            self.opened_at = time.monotonic()
+            self._open()
             return
         self.consecutive_failures += 1
         if self.consecutive_failures >= self.threshold:
-            self.state = "open"
-            self.opened_at = time.monotonic()
+            self._open()
+
+    def record_neutral(self) -> None:
+        """A 429: the member is healthy, just full.  Admission pressure
+        must not trip the breaker, nor clear an earlier failure streak;
+        a half-open trial that got one proved nothing, so the breaker
+        reopens for another cooldown."""
+        if self._trial_inflight and self.state == "half_open":
+            self._open()
+        self._trial_inflight = False
+
+    def _open(self) -> None:
+        self.state = "open"
+        self.opened_at = time.monotonic()
 
 
 class _Member:
@@ -259,10 +267,12 @@ class Router:
         self._stop = threading.Event()
         self._prober: Optional[threading.Thread] = None
         self._hedge_pool: Optional[ThreadPoolExecutor] = None
-        self._http = None
-        # Jitter for failover backoff: seeded per-router so chaos runs
-        # replay, distinct draws so concurrent retries fan out in time.
-        self._backoff_rng = random.Random(0xF417)
+        self._http: Optional[HTTPFrontend] = None
+        # Seeded per router so chaos runs replay; distinct draws so
+        # concurrent retries fan out in time.
+        self._failover_backoff = Backoff(self.config.failover_backoff,
+                                         self.config.failover_backoff_cap,
+                                         seed=0xF417)
         self._build_metrics(metrics)
         self._refresh_membership()
 
@@ -413,21 +423,14 @@ class Router:
                     for member in self._members.values()}
 
     def _probe(self, url: str) -> Tuple[bool, Optional[str]]:
-        """GET /healthz; healthy iff HTTP 200 (the replica answers 200
-        only while serving: ok/degraded)."""
+        """GET /healthz -> (healthy, replica-reported status); healthy
+        iff HTTP 200 (the replica answers 200 only while serving:
+        ok/degraded)."""
         try:
-            with urllib.request.urlopen(
-                    url + "/healthz",
-                    timeout=self.config.probe_timeout) as response:
-                payload = json.loads(response.read())
-                return True, payload.get("status")
-        except urllib.error.HTTPError as exc:
-            try:
-                status = json.loads(exc.read()).get("status")
-            except Exception:  # noqa: BLE001 — probe must not raise
-                status = None
-            return False, status
-        except Exception:  # noqa: BLE001 — connection refused/timeout
+            status, _, body = fetch(url + "/healthz",
+                                    timeout=self.config.probe_timeout)
+            return status == 200, json.loads(body).get("status")
+        except Exception:  # noqa: BLE001 — refused/timeout/garbage body
             return False, None
 
     def _probe_success(self, member: _Member) -> None:
@@ -537,51 +540,32 @@ class Router:
                     return member
             return None
 
-    def _release(self, member: _Member, success: bool,
-                 breaker_neutral: bool = False) -> None:
+    def _release(self, member: _Member, status: Optional[int]) -> None:
+        """Return ``member``'s inflight slot and feed its breaker the
+        attempt's outcome (``status`` None = no HTTP response)."""
         with self._lock:
             member.inflight = max(0, member.inflight - 1)
-            if breaker_neutral:
-                # 429: the replica is healthy, just full — don't let
-                # admission pressure trip the breaker, but don't clear
-                # an earlier failure streak either.
-                with_trial = member.breaker._trial_inflight
-                member.breaker._trial_inflight = False
-                if with_trial and member.breaker.state == "half_open":
-                    member.breaker.state = "open"
-                    member.breaker.opened_at = time.monotonic()
-            elif success:
-                member.breaker.record_success()
-            else:
+            if status == 429:
+                member.breaker.record_neutral()
+            elif status is None or status in _FAILOVER_STATUSES:
                 member.breaker.record_failure()
+            else:
+                member.breaker.record_success()
 
     def _send(self, member: _Member, method: str, path: str, body: bytes,
               headers: Dict[str, str]) -> Optional[_Response]:
         """One attempt against one replica.  ``None`` = connection-level
         failure (no HTTP response at all)."""
-        request = urllib.request.Request(
-            member.url + path, data=body if method == "POST" else None,
-            headers=headers, method=method)
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.config.request_timeout) as response:
-                relay = {name: response.headers[name]
-                         for name in _RELAY_HEADERS
-                         if response.headers.get(name)}
-                return response.status, relay, response.read()
-        except urllib.error.HTTPError as exc:
-            relay = {name: exc.headers[name] for name in _RELAY_HEADERS
-                     if exc.headers and exc.headers.get(name)}
-            return exc.code, relay, exc.read()
+            status, received, payload = fetch(
+                member.url + path, method,
+                body if method == "POST" else None, headers,
+                self.config.request_timeout)
         except Exception:  # noqa: BLE001 — refused/reset/timeout
             return None
-
-    def _backoff(self, attempt: int) -> float:
-        base = min(self.config.failover_backoff * (2 ** attempt),
-                   self.config.failover_backoff_cap)
-        with self._lock:
-            jitter = 0.5 + self._backoff_rng.random()  # [0.5, 1.5)
-        return base * jitter
+        relay = {name: received[name] for name in _RELAY_HEADERS
+                 if received.get(name)}
+        return status, relay, payload
 
     def _shed(self, reason: str) -> _Response:
         self._m_sheds.inc(reason=reason)
@@ -609,20 +593,16 @@ class Router:
             if attempt > 0:
                 self._m_failovers.inc()
             response = self._send(member, method, path, body, headers)
-            if response is None:
-                self._release(member, success=False)
-            else:
-                status = response[0]
+            status = None if response is None else response[0]
+            self._release(member, status)
+            if response is not None:
                 if status not in _FAILOVER_STATUSES:
                     # 2xx, or the request's own fault (400/404/504):
                     # the replica did its job — relay verbatim.
-                    self._release(member, success=True)
                     return response
-                self._release(member, success=(status == 429),
-                              breaker_neutral=(status == 429))
                 last_response = response
             if attempt < self.config.max_failover:
-                time.sleep(self._backoff(attempt))
+                time.sleep(self._failover_backoff.delay(attempt))
         if last_response is not None:
             return last_response
         return self._shed("no_healthy_replicas")
@@ -681,8 +661,6 @@ class Router:
         else:
             self._m_hedges.inc(outcome="lost")
         loser.cancel()
-        if winner not in done:  # both timed out: wait on the primary
-            return winner.result()
         return winner.result()
 
     # ------------------------------------------------------------------
@@ -714,12 +692,13 @@ class Router:
             "draining": draining,
         }
         if self._replica_set is not None:
-            supervision = self._replica_set.stats()
+            supervision = self._replica_set.health()
             payload["restarts"] = supervision["restarts"]
             payload["quarantined"] = supervision["quarantined"]
-            if supervision["quarantined"] and status == "ok":
-                # A quarantined replica has left membership for good;
-                # the set is serving but permanently below strength.
+            if supervision["status"] != "ok" and status == "ok":
+                # A respawning replica has left membership until it is
+                # back, a quarantined one for good: the set is serving
+                # but below strength.
                 payload["status"] = "degraded"
         return payload
 
@@ -739,11 +718,12 @@ class Router:
         return self.metrics.render()
 
     def serve_http(self, host: str = "127.0.0.1",
-                   port: int = 8000) -> "RouterFrontend":
+                   port: int = 8000) -> HTTPFrontend:
         """Expose the router over HTTP (daemon thread; ``port=0`` binds
         an ephemeral port — read ``.url``)."""
         if self._http is None:
-            self._http = RouterFrontend(self, host=host, port=port).start()
+            self._http = HTTPFrontend(self, host=host, port=port,
+                                      handler=_RouterHandler).start()
         return self._http
 
     def __repr__(self) -> str:
@@ -753,106 +733,26 @@ class Router:
         return f"Router(members={states}, draining={self._draining})"
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Relay handler: router-owned paths answered locally, model paths
-    forwarded to a replica and relayed byte-for-byte."""
+class _RouterHandler(JSONHandler):
+    """Relay handler: model paths are forwarded to a replica and the
+    answer relayed byte-for-byte; the base class answers the
+    router-owned paths from the router itself."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-router"
 
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        pass
-
-    def _router(self) -> Router:
-        return self.server.router
-
-    def _relay(self, response: _Response) -> None:
-        status, headers, body = response
-        self.send_response(status)
-        headers = dict(headers)
-        headers.setdefault("Content-Type", "application/json")
-        headers["Content-Length"] = str(len(body))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self._relay((status, {"Content-Type": "application/json"}, body))
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        router = self._router()
-        if self.path == "/healthz":
-            health = router.health()
-            status = 200 if health["status"] in ("ok", "degraded") else 503
-            self._send_json(status, health)
-        elif self.path == "/metrics":
-            body = router.metrics_text().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", router.metrics.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif self.path == "/v1/model":
-            self._relay(router.forward(self.path, method="GET"))
+    def route_get(self) -> None:
+        if self.path == "/v1/model":
+            self._relay(b"", "GET")
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+            self.not_found()
 
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        router = self._router()
-        length = int(self.headers.get("Content-Length", 0))
-        if self.path == "/admin/drain":
-            if 0 < length <= 64 * 1024 * 1024:
-                self.rfile.read(length)
-            router.begin_drain()
-            self._send_json(200, {"status": "draining"})
-            return
-        if length < 0 or length > 64 * 1024 * 1024:
-            self.close_connection = True
-            self._send_json(400, {"error": "request body too large"})
-            return
-        body = self.rfile.read(length) if length else b""
-        headers = {name: self.headers[name] for name in _FORWARD_HEADERS
-                   if self.headers.get(name)}
-        self._relay(router.forward(self.path, body, headers))
+    def route_post(self, body: bytes) -> None:
+        self._relay(body, "POST")
 
-
-class RouterFrontend:
-    """The router's own HTTP face (mirrors
-    :class:`~repro.serve.http.HTTPFrontend`)."""
-
-    def __init__(self, router: Router, host: str = "127.0.0.1",
-                 port: int = 8000) -> None:
-        self.httpd = ThreadingHTTPServer((host, port), _RouterHandler)
-        self.httpd.daemon_threads = True
-        self.httpd.router = router
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self.httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "RouterFrontend":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever, name="repro-router-http",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self.httpd.shutdown()
-            self._thread.join(timeout=10)
-            self._thread = None
-        self.httpd.server_close()
-
-    def __repr__(self) -> str:
-        return f"RouterFrontend(url={self.url!r})"
+    def _relay(self, body: bytes, method: str) -> None:
+        status, headers, payload = self.app.forward(
+            self.path, body,
+            {name: self.headers[name] for name in _FORWARD_HEADERS
+             if self.headers.get(name)},
+            method=method)
+        self.send_body(status, payload, headers)

@@ -51,7 +51,6 @@ because only death says nothing about the request itself.
 from __future__ import annotations
 
 import itertools
-import random
 import threading
 import time
 from concurrent.futures import (
@@ -67,6 +66,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+from ..utils.backoff import Backoff
 from .errors import DeadlineExceeded, NoHealthyShards, ShardCrash
 from .faults import FaultPlan, ShardFaultState, kill_process
 
@@ -197,9 +197,7 @@ class ShardedPool:
         self.engine_batch = int(engine_batch)
         self.max_retries = int(max_retries)
         self.max_restarts = int(max_restarts)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self._jitter = random.Random(0x5EED)
+        self._backoff = Backoff(backoff_base, backoff_cap, seed=0x5EED)
         self._lock = threading.Lock()
         self._state_changed = threading.Condition(self._lock)
         self._rr = itertools.count()
@@ -452,8 +450,7 @@ class ShardedPool:
         if not retry:
             self._resolve(outer, exc=exc)
             return
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** attempt))
-        delay *= 0.5 + self._jitter.random() / 2
+        delay = self._backoff.delay(attempt)
         if deadline is not None and time.monotonic() + delay > deadline:
             self._resolve(outer, exc=DeadlineExceeded(
                 f"deadline expired before retry {attempt + 1} "

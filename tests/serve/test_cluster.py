@@ -192,3 +192,23 @@ class TestClusterServing:
                 assert statuses == {"r0": "draining", "r1": "draining"}
             finally:
                 router.stop()
+
+
+class TestStopDuringRespawn:
+    def test_launch_finishing_after_stop_leaves_no_child(self, artifact):
+        # A respawn thread still starting its replica when stop() runs
+        # must not leave the child parked: non-daemonic children are
+        # joined at interpreter exit, which would then hang forever.
+        import multiprocessing
+
+        replica_set = ReplicaSet(artifact, replicas=1, config=CONFIG)
+        replica_set.stop()
+        replica = replica_set._replicas[0]
+        replica_set._launch(replica)  # the late respawn
+        assert replica.state == "stopped"
+        assert replica_set.endpoints() == []
+        deadline = time.monotonic() + 10
+        while any(child.name == "repro-replica-r0"
+                  for child in multiprocessing.active_children()):
+            assert time.monotonic() < deadline, "late replica still alive"
+            time.sleep(0.05)

@@ -1,0 +1,120 @@
+"""One HTTP frontend, two apps: replica and router answer the shared
+paths identically, and a burst of new connections does not stall on
+the listen backlog."""
+
+import contextlib
+import http.client
+import json
+import threading
+import time
+
+import pytest
+
+from repro.autodiff.rng import spawn_rng
+from repro.donn import DONN, DONNConfig
+from repro.serve import Router, RouterConfig, ServeConfig, Server
+from repro.serve.http import _MAX_BODY
+
+
+@pytest.fixture(scope="module")
+def model():
+    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
+
+
+@contextlib.contextmanager
+def replica_and_router(model):
+    """``{"replica": url, "router": url}``: one replica, one router in
+    front of it."""
+    with Server(model=model, config=ServeConfig(max_batch=4)) as server:
+        replica = server.serve_http(port=0).url
+        router = Router(endpoints=[("r0", replica)],
+                        config=RouterConfig(rejoin_after=1))
+        router.probe_once()
+        try:
+            yield {"replica": replica, "router": router.serve_http(port=0).url}
+        finally:
+            router.stop()
+
+
+def request(url, method, path, body=None, headers=()):
+    """``(status, Connection header, parsed JSON body)`` of one request
+    on a fresh connection; ``body=None`` sends only the headers."""
+    host, port = url.split("://", 1)[1].rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.putrequest(method, path)
+        for name, value in headers:
+            conn.putheader(name, value)
+        if body is not None:
+            conn.putheader("Content-Length", str(len(body)))
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return (response.status, response.getheader("Connection"),
+                json.loads(response.read()))
+    finally:
+        conn.close()
+
+
+class TestFrontendParity:
+    def test_same_404_envelope(self, model):
+        with replica_and_router(model) as urls:
+            for method, body in (("GET", None), ("POST", b"{}")):
+                answers = {role: request(url, method, "/nope", body)
+                           for role, url in urls.items()}
+                assert answers["replica"] == answers["router"]
+                assert answers["replica"][0] == 404
+                assert answers["replica"][2] == {
+                    "error": "unknown path /nope"}
+
+    def test_same_400_and_close_for_oversized_content_length(self, model):
+        with replica_and_router(model) as urls:
+            answers = {
+                role: request(url, "POST", "/v1/predict", headers=[
+                    ("Content-Type", "application/json"),
+                    ("Content-Length", str(_MAX_BODY + 1))])
+                for role, url in urls.items()}
+        assert answers["replica"] == answers["router"]
+        status, connection, payload = answers["replica"]
+        assert status == 400
+        assert connection == "close"
+        assert "Content-Length" in payload["error"]
+
+    def test_same_drain_answer(self, model):
+        with replica_and_router(model) as urls:
+            for url in urls.values():
+                assert request(url, "POST", "/admin/drain", b"{}")[::2] == (
+                    200, {"status": "draining"})
+                status, _, health = request(url, "GET", "/healthz")
+                assert status == 503
+                assert health["status"] == "draining"
+
+
+def test_connection_burst_does_not_stall_on_backlog(model):
+    # 64 clients connecting in the same instant overflow a listen
+    # backlog of 5; every overflowed SYN waits ~1 s to be retransmitted.
+    clients = 64
+    with Server(model=model) as server:
+        url = server.serve_http(port=0).url
+        start = threading.Barrier(clients)
+        elapsed = [None] * clients
+        errors = []
+
+        def client(index):
+            start.wait()
+            begin = time.perf_counter()
+            try:
+                status, _, _ = request(url, "GET", "/healthz")
+                assert status == 200
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+            elapsed[index] = time.perf_counter() - begin
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert max(elapsed) < 0.9, sorted(elapsed)[-5:]

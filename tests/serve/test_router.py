@@ -422,3 +422,82 @@ class TestRouterHTTP:
             assert json.loads(info.value.read())["status"] == "draining"
         finally:
             router.stop()
+
+
+class TestBreakerNeutral:
+    """429 is neutral: the replica is healthy, just full."""
+
+    def test_429_on_half_open_trial_reopens(self):
+        breaker = CircuitBreaker(threshold=1, cooldown=0.02)
+        breaker.record_failure()
+        time.sleep(0.03)
+        assert breaker.allow() and breaker.state == "half_open"
+        opened_before = breaker.opened_at
+        breaker.record_neutral()
+        assert breaker.state == "open"
+        assert breaker.opened_at > opened_before
+        assert not breaker.allow()  # a fresh cooldown, not a free trial
+
+    def test_429_neither_counts_toward_nor_clears_a_streak(self):
+        breaker = CircuitBreaker(threshold=2, cooldown=60.0)
+        breaker.record_neutral()
+        breaker.record_neutral()
+        breaker.record_failure()
+        assert breaker.state == "closed"  # the 429s did not count
+        breaker.record_neutral()
+        breaker.record_failure()
+        assert breaker.state == "open"  # nor did they clear the streak
+
+    def test_router_429_leaves_breaker_closed(self, stubs):
+        stubs[0].status_script = [429] * 10
+        stubs[1].status_script = [429] * 10
+        router = make_router(stubs, breaker_threshold=1, max_failover=1)
+        for _ in range(3):
+            status, _, _ = router.forward("/v1/predict", BODY)
+            assert status == 429
+        assert {m["breaker"] for m in router.health()["replicas"]} == {
+            "closed"}
+
+
+class FakeReplicaSet:
+    """The slice of :class:`ReplicaSet` the router reads: live
+    endpoints, supervision stats and the set's own health."""
+
+    def __init__(self, stubs):
+        self.stubs = stubs
+        self.states = {f"s{i}": "ok" for i in range(len(stubs))}
+
+    def endpoints(self):
+        return [(f"s{i}", stub.url) for i, stub in enumerate(self.stubs)
+                if self.states[f"s{i}"] == "ok"]
+
+    def stats(self):
+        return {
+            "replicas": [{"id": replica_id, "state": state, "restarts": 0}
+                         for replica_id, state in self.states.items()],
+            "restarts": 0,
+            "quarantined": sum(state == "quarantined"
+                               for state in self.states.values()),
+        }
+
+    def health(self):
+        serving = all(state == "ok" for state in self.states.values())
+        return {"status": "ok" if serving else "degraded", **self.stats()}
+
+
+class TestRespawnHealth:
+    def test_respawning_replica_keeps_router_degraded(self, stubs):
+        replica_set = FakeReplicaSet(stubs)
+        router = Router(replica_set=replica_set,
+                        config=RouterConfig(rejoin_after=1))
+        router.probe_once()
+        assert router.health()["status"] == "ok"
+        # The respawning replica leaves membership; the survivor alone
+        # must not read as full strength.
+        replica_set.states["s1"] = "respawning"
+        router.probe_once()
+        assert [m["id"] for m in router.health()["replicas"]] == ["s0"]
+        assert router.health()["status"] == "degraded"
+        replica_set.states["s1"] = "ok"
+        router.probe_once()
+        assert router.health()["status"] == "ok"
