@@ -25,30 +25,25 @@ pass and records a *single* graph node with a hand-derived backward:
   Both factors reuse cached forward intermediates — backward adds exactly
   two FFTs and zero graph bookkeeping.
 
-The forward reuses the shared propagation-kernel cache (per-hop ortho
-scaling folded into ``H`` once, exactly like the inference engine) and the
-runtime scratch buffers, and applies the engine's pruned-FFT border trick:
-the padded field is zero outside the ``n`` interior rows, so the row-axis
-passes only visit those rows — 25 % less FFT work at ``pad_factor=2`` with
-results identical to the composed ops.
+Both passes are :func:`repro.backend.hop.propagate_rows`, the hop the
+inference engine runs, over the shared cached kernel (per-hop ortho
+scaling folded into ``H`` once) and the runtime scratch buffers.
 
-The fast path is the default for :class:`~repro.optics.propagation.Propagator`
-and :class:`~repro.donn.layers.DiffractiveLayer`.  Opt out for debugging
-with :func:`set_fused_enabled`, the :class:`fused_disabled` context
-manager, or ``REPRO_FUSED=0`` in the environment; the composed per-op
-graph is kept as the reference implementation (equivalence is
-test-enforced by ``tests/autodiff/test_fused.py``).
+The fast path is what :class:`~repro.optics.propagation.Propagator` and
+:class:`~repro.donn.layers.DiffractiveLayer` always run.  The composed
+per-op graph is kept as a reference that only the equivalence tests
+reach, through the :class:`fused_disabled` context manager
+(``tests/autodiff/test_fused.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import dispatch as _fft
 from ..backend import get_precision
+from ..backend import hop as _hop
 from .ops import _build
 from .tensor import Tensor, as_tensor
 
@@ -56,7 +51,6 @@ __all__ = [
     "diffmod",
     "propagate",
     "fused_enabled",
-    "set_fused_enabled",
     "fused_disabled",
     "clear_scratch",
 ]
@@ -64,10 +58,8 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _PARAMETRIZATIONS = ("sigmoid", "direct")
 
-#: Global switch; REPRO_FUSED=0 in the environment starts it disabled.
-_ENABLED: bool = os.environ.get("REPRO_FUSED", "1").lower() not in (
-    "0", "false", "off",
-)
+#: False only inside :class:`fused_disabled`.
+_ENABLED = True
 
 
 def fused_enabled() -> bool:
@@ -75,34 +67,19 @@ def fused_enabled() -> bool:
     return _ENABLED
 
 
-def set_fused_enabled(mode: bool) -> None:
-    """Globally enable or disable the fused fast path."""
-    global _ENABLED
-    _ENABLED = bool(mode)
-
-
 class fused_disabled:
-    """Context manager that runs the composed per-op reference graph.
-
-    Usable as a decorator, mirroring :class:`~repro.autodiff.no_grad`.
-    """
+    """Context manager that runs the composed per-op reference graph
+    (the equivalence tests' oracle)."""
 
     def __enter__(self) -> "fused_disabled":
-        self._previous = fused_enabled()
-        set_fused_enabled(False)
+        global _ENABLED
+        self._previous = _ENABLED
+        _ENABLED = False
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        set_fused_enabled(self._previous)
-
-    def __call__(self, fn):
-        def wrapper(*args, **kwargs):
-            with fused_disabled():
-                return fn(*args, **kwargs)
-
-        wrapper.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapper.__doc__ = fn.__doc__
-        return wrapper
+        global _ENABLED
+        _ENABLED = self._previous
 
 
 # ----------------------------------------------------------------------
@@ -150,41 +127,13 @@ def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:
     return kernel.prescaled(), kernel.prescaled_conj()
 
 
-# ----------------------------------------------------------------------
-# The propagation pass (forward and adjoint are the same routine)
-# ----------------------------------------------------------------------
 def _propagate_padded(fields: np.ndarray, h: np.ndarray, pad: int,
                       n: int) -> np.ndarray:
-    """One pad -> FFT -> ``h``-mul -> IFFT -> crop hop over ``(batch, n, n)``.
-
-    ``h`` is a *prescaled* transfer function (or its conjugate, for the
-    adjoint); its dtype sets the compute precision — the padded work
-    plane is allocated at ``h.dtype``, so a complex64 kernel runs the
-    whole hop (and any complex128 inputs assigned into the plane) in
-    single precision.  The padded field is zero outside the ``n``
-    interior rows, so each 2-D transform runs as two 1-D passes and the
-    row-axis pass only visits those rows (the zero border transforms to
-    zero for free); the inverse side produces only the interior rows,
-    which is all the crop keeps.  Returns a fresh array each call —
-    only the padded ``work`` plane is shared scratch.
-
-    This is the single-hop form of the multi-hop loop in
-    ``InferenceEngine._propagate_chunk`` (which additionally keeps the
-    field resident on the padded grid between hops); a change to the
-    pruning trick or the normalization convention must be mirrored there.
-    """
-    side = h.shape[-1]
-    batch = fields.shape[0]
-    rows = slice(pad, pad + n)
-    work = _scratch().zeros("fused", (batch, side, side), h.dtype)
-    work[:, rows, pad:pad + n] = fields
-    work[:, rows, :] = _fft.fft(work[:, rows, :], axis=-1)
-    spectrum = _fft.fft(work, axis=-2)
-    np.multiply(spectrum, h, out=spectrum)
-    tall = _fft.ifft(spectrum, axis=-2, norm="forward", overwrite_x=True)
-    inner = _fft.ifft(tall[:, rows, :], axis=-1, norm="forward",
-                      overwrite_x=True)
-    return inner[:, :, pad:pad + n]
+    """Embed ``(batch, n, n)`` fields in the padded scratch plane, run
+    the shared hop with ``h`` (``conj`` for the adjoint), and crop."""
+    work = _scratch().zeros("fused", (fields.shape[0],) + h.shape, h.dtype)
+    work[:, pad:pad + n, pad:pad + n] = fields
+    return _hop.propagate_rows(work, h, pad, n)[:, :, pad:pad + n]
 
 
 def _check_field(field: Tensor, n: int) -> None:

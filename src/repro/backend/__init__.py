@@ -16,6 +16,8 @@ Every FFT call site in the package routes through here (grep-enforced:
 no direct ``numpy.fft`` / ``scipy.fft`` use outside this package), so a
 backend or precision switch reaches the autodiff ops, the fused
 training op, the inference engine and the kernel builders at once.
+:mod:`repro.backend.hop` holds the one propagation hop that the fused
+training op and the inference engine both run.
 See ``docs/performance.md`` ("Backends & precision").
 """
 

@@ -126,15 +126,7 @@ def deployed_accuracy(
         max_batch=min(batch_size, _ENGINE_MAX_BATCH),
         precision=precision,
     )
-    correct = 0
-    seen = 0
-    for images, labels in _iter_batches(data, batch_size):
-        predictions = engine.predict(images)
-        correct += int((predictions == labels).sum())
-        seen += len(labels)
-    if seen == 0:
-        raise ValueError("no samples to evaluate")
-    return correct / seen
+    return accuracy(engine, data, batch_size)
 
 
 def deployment_gap(

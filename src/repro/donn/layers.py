@@ -205,10 +205,9 @@ class DiffractiveLayer(Module):
         Runs the fused single-node fast path by default — the whole
         pad/FFT/H-mul/IFFT/crop/sigmoid/exp/modulate chain in one NumPy
         pass with a hand-derived analytic VJP (see
-        :mod:`repro.autodiff.fused`).  Opt out for debugging with
-        ``fused.set_fused_enabled(False)`` (or ``REPRO_FUSED=0``) to get
-        the composed per-op reference graph; gradients are identical
-        (test-enforced).
+        :mod:`repro.autodiff.fused`).  The composed per-op reference
+        graph below runs only inside ``fused.fused_disabled()``, which the
+        equivalence tests use; gradients are identical.
         """
         if _fused.fused_enabled():
             return _fused.diffmod(

@@ -186,8 +186,9 @@ class Propagator:
 
         Runs the fused single-node fast path by default (one pruned
         NumPy pass forward, the exact ``conj(H)`` adjoint backward — see
-        :mod:`repro.autodiff.fused`); disable it to fall back to the
-        composed pad/fft2/mul/ifft2/crop reference graph.
+        :mod:`repro.autodiff.fused`); inside ``fused.fused_disabled()``
+        the equivalence tests get the composed pad/fft2/mul/ifft2/crop
+        reference graph instead.
         """
         field = as_tensor(field)
         if field.shape[-1] != self.grid.n or field.shape[-2] != self.grid.n:
@@ -199,7 +200,7 @@ class Propagator:
         return self._composed(field)
 
     def _composed(self, field: Tensor) -> Tensor:
-        """The per-op reference graph (kept for debugging/equivalence)."""
+        """The per-op reference graph the equivalence tests compare to."""
         pad = self._pad_pixels
         if pad:
             field = ops.pad2d(field, pad)

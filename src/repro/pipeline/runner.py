@@ -364,19 +364,17 @@ class SupervisedPool:
 _WORKER_DATA: Optional[Tuple[Dataset, Dataset]] = None
 
 
-def _init_worker(data: Tuple[Dataset, Dataset], fused_on: bool,
-                 backend_name: str, precision_name: str) -> None:
+def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
+                 precision_name: str) -> None:
     """Pool initializer: stash the shared dataset and mirror the parent's
-    process-wide toggles — the fused-fast-path flag, the FFT backend and
-    the ambient precision policy (spawn-based platforms re-import the
-    package, so programmatic ``set_fused_enabled`` / ``set_backend`` /
-    ``set_precision`` calls would otherwise be lost — and with them the
-    byte-identical-to-serial guarantee)."""
+    process-wide toggles — the FFT backend and the ambient precision
+    policy (spawn-based platforms re-import the package, so programmatic
+    ``set_backend`` / ``set_precision`` calls would otherwise be lost —
+    and with them the byte-identical-to-serial guarantee)."""
     global _WORKER_DATA
     _WORKER_DATA = data
     import signal
 
-    from ..autodiff import fused
     from ..backend import set_backend, set_precision
 
     # Ctrl-C belongs to the orchestrator: it decides whether to drain
@@ -384,7 +382,6 @@ def _init_worker(data: Tuple[Dataset, Dataset], fused_on: bool,
     # Ctrl-C (delivered to the whole foreground process group) from
     # looking like a worker crash.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    fused.set_fused_enabled(fused_on)
     set_backend(backend_name)
     set_precision(precision_name)
 
@@ -404,11 +401,11 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
     """Run ``(recipe, config, verbose)`` tasks over a shared ``data``
     split, fanning out across worker processes when ``max_workers > 1``.
 
-    Results preserve task order.  Each worker receives the dataset and
-    the fused-path flag once (initializer), and ``run_recipe`` re-seeds
-    the global RNG deterministically, so results do not depend on which
-    process (or in what order) a recipe ran — or on how many times a
-    crashed point was retried by the :class:`SupervisedPool`.
+    Results preserve task order.  Each worker receives the dataset once
+    (initializer), and ``run_recipe`` re-seeds the global RNG
+    deterministically, so results do not depend on which process (or in
+    what order) a recipe ran — or on how many times a crashed point was
+    retried by the :class:`SupervisedPool`.
 
     This is the strict entry point (tables want all rows): a point that
     still has no result after supervision raises ``RuntimeError``.  The
@@ -420,7 +417,6 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
             run_recipe(recipe, config, data=data, verbose=verbose)
             for recipe, config, verbose in tasks
         ]
-    from ..autodiff import fused
     from ..backend import backend_name, get_precision
 
     pool = SupervisedPool(
@@ -429,8 +425,7 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
         max_retries=max_retries,
         timeout_s=timeout_s,
         initializer=_init_worker,
-        initargs=(data, fused.fused_enabled(), backend_name(),
-                  get_precision().name),
+        initargs=(data, backend_name(), get_precision().name),
         on_event=on_event,
     )
     outcomes = pool.run(tasks)

@@ -574,7 +574,6 @@ def run_sweep_dir(
                 attempts[point.name] = 1
             _write_manifest(sweep_dir, manifest_now())
     elif todo:
-        from ..autodiff import fused
         from ..backend import backend_name, get_precision
 
         def on_event(event: str, **fields: Any) -> None:
@@ -597,8 +596,7 @@ def run_sweep_dir(
             max_retries=max_retries,
             timeout_s=timeout_s,
             initializer=_init_worker,
-            initargs=(None, fused.fused_enabled(), backend_name(),
-                      get_precision().name),
+            initargs=(None, backend_name(), get_precision().name),
             on_event=on_event,
         )
         outcomes = pool.run(

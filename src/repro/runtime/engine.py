@@ -30,9 +30,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..backend import PRECISIONS
-from ..backend import dispatch as _fft
+from ..backend import hop as _hop
 from .buffers import ScratchBuffers
-from .kernel_cache import PropagationKernel, get_kernel, kernel_for_dtype
+from .kernel_cache import PropagationKernel, kernel_for_dtype
 
 __all__ = ["InferenceEngine"]
 
@@ -59,9 +59,6 @@ class InferenceEngine:
         streamed in chunks of this size.  The default (64) saturates
         single-core FFT throughput while bounding scratch memory at
         ``64 * padded_n^2`` complex elements.
-    workers:
-        Forwarded to the :mod:`repro.backend` FFT wrappers (None = the
-        backend's process-wide default; ignored on the numpy fallback).
     buffers:
         Optional shared :class:`ScratchBuffers` pool (so many short-lived
         engines over one model reuse the same scratch memory).
@@ -82,7 +79,6 @@ class InferenceEngine:
         modulations: Optional[Sequence[np.ndarray]] = None,
         precision: str = "double",
         max_batch: int = 64,
-        workers: Optional[int] = None,
         buffers: Optional[ScratchBuffers] = None,
         source_modes: Optional[np.ndarray] = None,
     ) -> None:
@@ -97,7 +93,6 @@ class InferenceEngine:
         self.model = model
         self.precision = precision
         self.max_batch = int(max_batch)
-        self.workers = workers
         self._cdtype = policy.complex_dtype
         self._rdtype = policy.real_dtype
         self._buffers = buffers if buffers is not None else ScratchBuffers()
@@ -107,15 +102,12 @@ class InferenceEngine:
         #: materialized at the engine's precision through the cache — a
         #: ``"single"`` engine shares one complex64 kernel per geometry
         #: instead of downcasting a complex128 array per build.
+        propagators = [layer.propagator for layer in model.layers]
+        propagators.append(model.to_detector)
         self._kernels: List[PropagationKernel] = [
-            kernel_for_dtype(self._hop_kernel(layer.propagator),
-                             self._cdtype)
-            for layer in model.layers
+            kernel_for_dtype(propagator.kernel, self._cdtype)
+            for propagator in propagators
         ]
-        self._kernels.append(
-            kernel_for_dtype(self._hop_kernel(model.to_detector),
-                             self._cdtype)
-        )
         pads = {k.pad for k in self._kernels}
         sides = {k.padded_n for k in self._kernels}
         if len(pads) != 1 or len(sides) != 1:
@@ -174,19 +166,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _hop_kernel(propagator) -> PropagationKernel:
-        kernel = getattr(propagator, "kernel", None)
-        if isinstance(kernel, PropagationKernel):
-            return kernel
-        return get_kernel(
-            propagator.grid,
-            propagator.distance,
-            method=propagator.method,
-            pad_factor=propagator.pad_factor,
-            band_limit=getattr(propagator, "band_limit", True),
-        )
-
     def refresh(
         self, modulations: Optional[Sequence[np.ndarray]] = None
     ) -> "InferenceEngine":
@@ -264,23 +243,15 @@ class InferenceEngine:
         detector field ``(batch, n, n)`` (scratch, valid until the next
         chunk).
 
-        Every hop's input field is exactly zero outside the interior
-        rows (the pad border is never written; the padded modulation
-        zeroes everything it touches outside the aperture), so each 2-D
-        transform is split into per-axis passes and the pass over the
-        row axis only visits the ``n`` interior rows — at ``pad_factor
-        2`` that skips a quarter of all FFT work with bit-identical
-        results.  Transforms run unscaled; the ortho normalization lives
-        in the prescaled kernels (see ``__init__``).
-
-        The single-hop form of this pass also lives in
-        ``repro.autodiff.fused._propagate_padded`` (the training fast
-        path); a change to the pruning trick or the normalization
-        convention must be mirrored there.
+        The field stays on the padded grid for the whole stack, and
+        every hop is :func:`repro.backend.hop.propagate_rows`.  Each
+        hop's input is exactly zero outside the interior rows (the pad
+        border is never written; the padded modulation zeroes everything
+        it touches outside the aperture), which is the invariant that
+        hop's pruned transforms rely on.
         """
         batch = fields.shape[0]
         n, pad, side = self.n, self._pad, self._padded_n
-        workers = self.workers
         rows = slice(pad, pad + n)
         work = self._buffers.zeros(
             "field", (batch, side, side), self._cdtype
@@ -289,24 +260,7 @@ class InferenceEngine:
         last = len(self._hs) - 1
         inner = None
         for hop, h in enumerate(self._hs):
-            # Forward: transform the nonzero rows, then the full columns
-            # (the zero border rows transform to zero for free).
-            work[:, rows, :] = _fft.fft(
-                work[:, rows, :], axis=-1, workers=workers
-            )
-            spectrum = _fft.fft(work, axis=-2, workers=workers)
-            np.multiply(spectrum, h, out=spectrum)
-            # Inverse: full column pass, then only the interior rows —
-            # everything outside them is about to be cropped or zeroed
-            # by the next modulation anyway.
-            tall = _fft.ifft(
-                spectrum, axis=-2, norm="forward", overwrite_x=True,
-                workers=workers,
-            )
-            inner = _fft.ifft(
-                tall[:, rows, :], axis=-1, norm="forward",
-                overwrite_x=True, workers=workers,
-            )
+            inner = _hop.propagate_rows(work, h, pad, n)
             if hop < last:
                 # The modulation rows are zero outside the aperture
                 # columns, restoring the sparsity invariant in work.
@@ -372,12 +326,11 @@ class InferenceEngine:
     def predict(self, inputs) -> np.ndarray:
         """Predicted class labels (argmax of detector sums)."""
         fields, _ = self._as_fields(inputs)
-        labels = np.empty(fields.shape[0], dtype=np.int64)
-        for start in range(0, fields.shape[0], self.max_batch):
-            stop = min(start + self.max_batch, fields.shape[0])
-            chunk_logits = self._logits_chunk(fields[start:stop])
-            labels[start:stop] = np.argmax(chunk_logits, axis=-1)
-        return labels
+        return self._run_chunked(
+            fields,
+            lambda chunk: np.argmax(self._logits_chunk(chunk), axis=-1),
+            (), np.int64,
+        )
 
     def intensity_map(self, inputs) -> np.ndarray:
         """Detector-plane intensity pattern(s), for visualization."""

@@ -7,6 +7,8 @@ with and without a frozen sparsity mask, plus finite-difference
 validation of the hand-derived VJPs.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -41,15 +43,11 @@ def random_field(shape, seed=5):
 
 def layer_loss_and_grads(layer, field_data, use_fused):
     """Scalar loss through one layer plus (field, phase) gradients."""
-    previous = fused.fused_enabled()
-    fused.set_fused_enabled(use_fused)
-    try:
+    with nullcontext() if use_fused else fused.fused_disabled():
         layer.phase.zero_grad()
         field = Tensor(field_data, requires_grad=True)
         loss = ops.sum(ops.abs2(layer(field)))
         loss.backward()
-    finally:
-        fused.set_fused_enabled(previous)
     return loss.item(), np.array(field.grad), np.array(layer.phase.grad)
 
 
@@ -82,9 +80,11 @@ class TestForwardEquivalence:
                 reference = layer(Tensor(field)).data
         assert np.abs(out - reference).max() < 1e-12
 
-    def test_propagator_forward_matches_composed(self):
-        prop = Propagator(make_grid(), 1e-4, pad_factor=2)
-        field = random_field((3, N, N), seed=9)
+    @pytest.mark.parametrize("n", [N, 19])
+    @pytest.mark.parametrize("pad_factor", [1, 2, 3])
+    def test_propagator_forward_matches_composed(self, pad_factor, n):
+        prop = Propagator(make_grid(n), 1e-4, pad_factor=pad_factor)
+        field = random_field((3, n, n), seed=9)
         with no_grad():
             out = prop(Tensor(field)).data
             with fused.fused_disabled():
@@ -127,18 +127,16 @@ class TestGradientEquivalence:
         _, _, grad = layer_loss_and_grads(layer, field, True)
         assert np.all(grad[layer.sparsity_mask == 0] == 0)
 
-    def test_propagator_grads_match_composed(self):
-        prop = Propagator(make_grid(), 1e-4, pad_factor=2)
-        field_data = random_field((2, N, N), seed=13)
+    @pytest.mark.parametrize("n", [N, 19])
+    @pytest.mark.parametrize("pad_factor", [1, 2, 3])
+    def test_propagator_grads_match_composed(self, pad_factor, n):
+        prop = Propagator(make_grid(n), 1e-4, pad_factor=pad_factor)
+        field_data = random_field((2, n, n), seed=13)
 
         def grads(use_fused):
-            previous = fused.fused_enabled()
-            fused.set_fused_enabled(use_fused)
-            try:
+            with nullcontext() if use_fused else fused.fused_disabled():
                 field = Tensor(field_data, requires_grad=True)
                 ops.sum(ops.abs2(prop(field))).backward()
-            finally:
-                fused.set_fused_enabled(previous)
             return np.array(field.grad)
 
         assert np.abs(grads(True) - grads(False)).max() < GRAD_TOL

@@ -1,6 +1,8 @@
 """Single-precision fused training path: float32-tolerance gradchecks and
 equivalence against the composed complex128 reference."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -39,16 +41,12 @@ def loss_and_grads(layer, field_data, precision=None, use_fused=True):
     the unit-modulus modulation has an analytically zero phase
     gradient, which would make relative comparisons meaningless.
     """
-    previous = fused.fused_enabled()
-    fused.set_fused_enabled(use_fused)
-    try:
+    with nullcontext() if use_fused else fused.fused_disabled():
         with precision_scope(precision):
             layer.phase.zero_grad()
             field = Tensor(field_data, requires_grad=True)
             loss = ops.sum(ops.abs2(layer.propagator(layer(field))))
             loss.backward()
-    finally:
-        fused.set_fused_enabled(previous)
     return loss.item(), np.array(field.grad), np.array(layer.phase.grad)
 
 

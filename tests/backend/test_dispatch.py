@@ -191,3 +191,19 @@ class TestSingleDispatchPoint:
         assert not offenders, (
             "direct FFT calls outside repro.backend:\n" + "\n".join(offenders)
         )
+
+    def test_one_propagation_hop(self):
+        # The unscaled inverse transform is the propagation hop's
+        # signature: only backend/hop.py may run it, and the composed
+        # reference graph has no runtime switch left.
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        hops, switches = [], []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            text = path.read_text()
+            if 'norm="forward"' in text and rel != "backend/hop.py":
+                hops.append(rel)
+            if "REPRO_FUSED" in text or "set_fused_enabled" in text:
+                switches.append(rel)
+        assert not hops, f'norm="forward" outside backend/hop.py: {hops}'
+        assert not switches, f"fused runtime switch in: {switches}"

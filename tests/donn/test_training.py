@@ -1,5 +1,7 @@
 """Training and evaluation tests (integration-level)."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -104,17 +106,13 @@ class TestTrainer:
         train, test = make_dataset("digits", 60, 30, seed=12)
 
         def run(use_fused):
-            previous = fused.fused_enabled()
-            fused.set_fused_enabled(use_fused)
-            try:
+            with nullcontext() if use_fused else fused.fused_disabled():
                 model = small_model(seed=6)
                 trainer = Trainer(model, Adam(model.parameters(), lr=0.1))
                 loader = DataLoader(train, batch_size=30, seed=1)
                 test_loader = DataLoader(test, batch_size=30, shuffle=False)
                 return trainer.fit(loader, epochs=2,
                                    test_loader=test_loader)
-            finally:
-                fused.set_fused_enabled(previous)
 
         fast = run(True)
         reference = run(False)

@@ -41,7 +41,15 @@ class TestEquivalence:
         engine = InferenceEngine(model)
         assert np.abs(engine.logits(images) - reference).max() < 1e-10
 
-    def test_logits_match_on_random_fields_double(self, model, fields):
+    @pytest.mark.parametrize("n", [20, 19])
+    @pytest.mark.parametrize("pad_factor", [1, 2, 3])
+    def test_logits_match_on_random_fields_double(self, pad_factor, n):
+        # pad_factor 1 is the unpadded grid (pad 0); n=19 gives odd pads.
+        model = DONN(DONNConfig.laptop(n=n, pad_factor=pad_factor),
+                     rng=spawn_rng(0))
+        rng = spawn_rng(2)
+        fields = (rng.standard_normal((7, n, n))
+                  + 1j * rng.standard_normal((7, n, n)))
         reference = model.forward(fields).data
         engine = InferenceEngine(model)
         assert np.abs(engine.logits(fields) - reference).max() < 1e-10
