@@ -26,7 +26,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
     parse_prometheus,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
     "parse_prometheus",
     "snapshot",
     "render_text",

@@ -4,8 +4,8 @@ Three instrument kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — a monotonically increasing total (requests served,
   batches flushed, shard respawns).  ``inc()`` from any thread;
-  :meth:`Counter.set_to` lets a *collector* mirror an external
-  cumulative source without ever moving backwards.
+  :meth:`Counter.set_to` lets a *collector* mirror a count another
+  object keeps (a replica's restarts) without ever moving backwards.
 * :class:`Gauge` — a point-in-time value (queue depth, in-flight
   requests, per-shard state).  Usually set by a collector callback at
   scrape time rather than on every transition.
@@ -24,24 +24,22 @@ format (``text/plain; version=0.0.4``) served by ``GET /metrics``;
 :func:`parse_prometheus` is the matching reader (round-trip
 test-enforced, and handy for scrape-side assertions in CI).
 
-A module-level default registry (:func:`get_registry`) exists for
-process-wide use; components that may be instantiated several times per
-process (each :class:`~repro.serve.Server` owns its own registry) create
-private ones so two deployments never double-count.
+There is no process-wide default registry: every component owns a
+private one (each :class:`~repro.serve.Server` shares its registry with
+its pool, batcher and cache), so two deployments never double-count.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
     "parse_prometheus",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
@@ -132,7 +130,7 @@ class Counter(_Instrument):
     def set_to(self, total: float, **labels: Any) -> None:
         """Mirror an external cumulative counter: moves the child up to
         ``total`` and never down (collector callbacks use this to adopt
-        counts kept elsewhere, e.g. a cache's hit tally)."""
+        counts another object keeps, e.g. a replica set's restarts)."""
         key = self._key(labels)
         with self._lock:
             current = self._children.get(key, 0.0)
@@ -142,6 +140,11 @@ class Counter(_Instrument):
     def value(self, **labels: Any) -> float:
         with self._lock:
             return float(self._children.get(self._key(labels), 0.0))
+
+    def total(self) -> float:
+        """The sum over every label child."""
+        with self._lock:
+            return sum(self._children.values())
 
     def samples(self) -> List[Tuple[str, str, float]]:
         with self._lock:
@@ -378,18 +381,15 @@ class MetricsRegistry:
                 flat[f"{name}{suffix}{labels}"] = value
         return flat
 
-
-_default_registry: Optional[MetricsRegistry] = None
-_default_lock = threading.Lock()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (created on first use)."""
-    global _default_registry
-    with _default_lock:
-        if _default_registry is None:
-            _default_registry = MetricsRegistry()
-        return _default_registry
+    def counter_totals(self) -> Dict[str, float]:
+        """``{name: Counter.total()}`` for every registered counter,
+        after running the collectors."""
+        self._run_collectors()
+        with self._lock:
+            instruments = sorted(self._instruments.items())
+        return {name: instrument.total()
+                for name, instrument in instruments
+                if isinstance(instrument, Counter)}
 
 
 def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:

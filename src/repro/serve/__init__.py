@@ -36,7 +36,7 @@ injects deterministic chaos (kill/delay/error) for tests and the
 See ``docs/serving.md`` for the architecture and the artifact format.
 """
 
-from .batching import BatcherStats, MicroBatcher
+from .batching import MicroBatcher
 from .bench import (
     benchmark_fault_recovery,
     benchmark_replica_recovery,
@@ -51,7 +51,6 @@ from .errors import (
     DeadlineExceeded,
     Draining,
     FaultInjected,
-    NoHealthyReplicas,
     NoHealthyShards,
     Overloaded,
     ServeError,
@@ -68,7 +67,6 @@ __all__ = [
     "ModelStore",
     "resolve_artifact",
     "MicroBatcher",
-    "BatcherStats",
     "ShardedPool",
     "REQUEST_KINDS",
     "SHARD_STATES",
@@ -94,7 +92,6 @@ __all__ = [
     "Overloaded",
     "Draining",
     "NoHealthyShards",
-    "NoHealthyReplicas",
     "ShardCrash",
     "FaultInjected",
     "FaultPlan",

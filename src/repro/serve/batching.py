@@ -19,8 +19,6 @@ cost stays at "one lock, one future":
 * the **timer plane** is an asyncio loop: the first request of a group
   arms ``loop.call_later(max_delay)`` (one loop wake-up per batch, not
   per request), which flushes whatever is still waiting when it fires.
-  The coroutine API (:meth:`submit`) is a thin ``wrap_future`` over the
-  hot path for async callers.
 
 Correctness: every per-sample stage of the engine (amplitude encoding,
 the per-sample 2-D FFT passes, the modulation multiply, the detector
@@ -39,7 +37,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,38 +45,7 @@ from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from .errors import DeadlineExceeded
 from .workers import REQUEST_KINDS
 
-__all__ = ["MicroBatcher", "BatcherStats"]
-
-
-class BatcherStats:
-    """Counters describing how well coalescing is working."""
-
-    __slots__ = ("requests", "batches", "rows", "max_batch_seen",
-                 "full_flushes", "timer_flushes", "drain_flushes",
-                 "expired")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.batches = 0
-        self.rows = 0
-        self.max_batch_seen = 0
-        self.full_flushes = 0
-        self.timer_flushes = 0
-        self.drain_flushes = 0
-        self.expired = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        mean = self.rows / self.batches if self.batches else 0.0
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "mean_batch": round(mean, 3),
-            "max_batch": self.max_batch_seen,
-            "full_flushes": self.full_flushes,
-            "timer_flushes": self.timer_flushes,
-            "drain_flushes": self.drain_flushes,
-            "expired": self.expired,
-        }
+__all__ = ["MicroBatcher"]
 
 
 #: One waiting request: its payload, the future its row resolves, and
@@ -105,6 +72,9 @@ class MicroBatcher:
         is flushed regardless of size — the latency cost a lone request
         pays for the chance of being coalesced.  ``0`` still coalesces
         requests that arrive while a flush is already in flight.
+    metrics:
+        The registry the batcher counts into (``None``: a private one);
+        :meth:`stats` reads its tallies back from it.
     """
 
     def __init__(self, pool, loop: asyncio.AbstractEventLoop,
@@ -118,42 +88,56 @@ class MicroBatcher:
         self.loop = loop
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
-        self.stats = BatcherStats()
         self._lock = threading.Lock()
         self._pending: Dict[tuple, List[_Pending]] = {}
         self._timers: Dict[tuple, object] = {}
         self._born: Dict[tuple, float] = {}
         self._closed = False
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_requests = metrics.counter(
-                "repro_batcher_requests_total",
-                "Single-sample requests accepted by the micro-batcher.")
-            self._m_expired = metrics.counter(
-                "repro_batcher_expired_total",
-                "Requests whose deadline passed while queued for "
-                "batching.")
-            self._m_flushes = metrics.counter(
-                "repro_batcher_flushes_total",
-                "Coalesced batch flushes by trigger.",
-                labelnames=("reason",))
-            self._m_batch_size = metrics.histogram(
-                "repro_batcher_batch_size",
-                "Rows per coalesced engine batch.",
-                buckets=DEFAULT_SIZE_BUCKETS)
-            self._m_flush_latency = metrics.histogram(
-                "repro_batcher_flush_latency_seconds",
-                "Seconds between a group's first enqueue and its flush.")
-            self._m_queue_depth = metrics.gauge(
-                "repro_batcher_queue_depth",
-                "Requests currently waiting to be coalesced.")
-            metrics.add_collector(self._collect_metrics)
+        self._max_batch_seen = 0  # no instrument records a maximum
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_requests = self.metrics.counter(
+            "repro_batcher_requests_total",
+            "Single-sample requests accepted by the micro-batcher.")
+        self._m_expired = self.metrics.counter(
+            "repro_batcher_expired_total",
+            "Requests whose deadline passed while queued for batching.")
+        self._m_flushes = self.metrics.counter(
+            "repro_batcher_flushes_total",
+            "Coalesced batch flushes by trigger.", labelnames=("reason",))
+        self._m_batch_size = self.metrics.histogram(
+            "repro_batcher_batch_size",
+            "Rows per coalesced engine batch.",
+            buckets=DEFAULT_SIZE_BUCKETS)
+        self._m_flush_latency = self.metrics.histogram(
+            "repro_batcher_flush_latency_seconds",
+            "Seconds between a group's first enqueue and its flush.")
+        self._m_queue_depth = self.metrics.gauge(
+            "repro_batcher_queue_depth",
+            "Requests currently waiting to be coalesced.")
+        self.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
         """Scrape-time gauge refresh (collector callback)."""
         with self._lock:
             depth = sum(len(g) for g in self._pending.values())
         self._m_queue_depth.set(depth)
+
+    def stats(self) -> Dict[str, Any]:
+        """How well coalescing is working, read back from the batcher's
+        instruments."""
+        sizes = self._m_batch_size.snapshot()
+        batches = sizes["count"]
+        return {
+            "requests": int(self._m_requests.value()),
+            "batches": batches,
+            "mean_batch": round(sizes["sum"] / batches, 3) if batches
+            else 0.0,
+            "max_batch": self._max_batch_seen,
+            "full_flushes": int(self._m_flushes.value(reason="full")),
+            "timer_flushes": int(self._m_flushes.value(reason="timer")),
+            "drain_flushes": int(self._m_flushes.value(reason="drain")),
+            "expired": int(self._m_expired.value()),
+        }
 
     # ------------------------------------------------------------------
     # Hot path (any thread)
@@ -182,9 +166,7 @@ class MicroBatcher:
             )
         future: Future = Future()
         if deadline is not None and deadline <= time.monotonic():
-            self.stats.expired += 1
-            if self._metrics is not None:
-                self._m_expired.inc()
+            self._m_expired.inc()
             future.set_exception(DeadlineExceeded(
                 "deadline expired before the request was enqueued"
             ))
@@ -196,30 +178,19 @@ class MicroBatcher:
                 raise RuntimeError("batcher is closed")
             group = self._pending.setdefault(key, [])
             group.append((sample, future, deadline))
-            self.stats.requests += 1
+            self._m_requests.inc()
             if len(group) == 1:
                 self._born[key] = time.monotonic()
             if len(group) >= self.max_batch:
-                self.stats.full_flushes += 1
+                self._m_flushes.inc(reason="full")
                 flush_now = self._take(key)
             elif len(group) == 1:
                 self.loop.call_soon_threadsafe(self._arm_timer, key)
-        if self._metrics is not None:
-            self._m_requests.inc()
-            if flush_now is not None:
-                self._m_flushes.inc(reason="full")
         if deadline is not None:
             self.loop.call_soon_threadsafe(self._arm_expiry, key, deadline)
         if flush_now is not None:
             self._dispatch(key[0], flush_now)
         return future
-
-    async def submit(self, kind: str, sample,
-                     deadline: Optional[float] = None) -> np.ndarray:
-        """Coroutine flavor of :meth:`submit_nowait` (same semantics)."""
-        return await asyncio.wrap_future(
-            self.submit_nowait(kind, sample, deadline=deadline)
-        )
 
     # ------------------------------------------------------------------
     # Timer plane (event-loop thread)
@@ -239,10 +210,8 @@ class MicroBatcher:
             self._timers.pop(key, None)
             taken = self._take(key) if self._pending.get(key) else None
             if taken is not None:
-                self.stats.timer_flushes += 1
-        if taken is not None:
-            if self._metrics is not None:
                 self._m_flushes.inc(reason="timer")
+        if taken is not None:
             self._dispatch(key[0], taken)
 
     def _arm_expiry(self, key: tuple, deadline: float) -> None:
@@ -266,7 +235,7 @@ class MicroBatcher:
                        if entry[2] is not None and entry[2] <= now]
             if not expired:
                 return
-            self.stats.expired += len(expired)
+            self._m_expired.inc(len(expired))
             if live:
                 self._pending[key] = live
             else:
@@ -275,8 +244,6 @@ class MicroBatcher:
                 timer = self._timers.pop(key, None)
                 if timer is not None:
                     timer.cancel()
-        if self._metrics is not None:
-            self._m_expired.inc(len(expired))
         for _, future, _ in expired:
             try:
                 future.set_exception(DeadlineExceeded(
@@ -291,15 +258,11 @@ class MicroBatcher:
     def _take(self, key: tuple) -> List[_Pending]:
         """Pop a group for dispatch (caller holds the lock)."""
         group = self._pending.pop(key)
-        self.stats.batches += 1
-        self.stats.rows += len(group)
-        self.stats.max_batch_seen = max(self.stats.max_batch_seen,
-                                        len(group))
+        self._max_batch_seen = max(self._max_batch_seen, len(group))
+        self._m_batch_size.observe(len(group))
         born = self._born.pop(key, None)
-        if self._metrics is not None:
-            self._m_batch_size.observe(len(group))
-            if born is not None:
-                self._m_flush_latency.observe(time.monotonic() - born)
+        if born is not None:
+            self._m_flush_latency.observe(time.monotonic() - born)
         timer = self._timers.pop(key, None)
         if timer is not None:
             # Cancelling from a foreign thread is safe for a handle that
@@ -329,10 +292,7 @@ class MicroBatcher:
         expired = [entry for entry in group
                    if entry[2] is not None and entry[2] <= now]
         if expired:
-            with self._lock:
-                self.stats.expired += len(expired)
-            if self._metrics is not None:
-                self._m_expired.inc(len(expired))
+            self._m_expired.inc(len(expired))
             for _, future, _ in expired:
                 _resolve(future, None, DeadlineExceeded(
                     "deadline expired while queued for batching"
@@ -381,9 +341,8 @@ class MicroBatcher:
             taken = [
                 (key[0], self._take(key)) for key in list(self._pending)
             ]
-            self.stats.drain_flushes += len(taken)
-        if self._metrics is not None and taken:
-            self._m_flushes.inc(len(taken), reason="drain")
+            if taken:
+                self._m_flushes.inc(len(taken), reason="drain")
         for kind, group in taken:
             self._dispatch(kind, group)
 

@@ -16,8 +16,6 @@ exception              status  meaning
                                 new work; retry against another replica
 :class:`NoHealthyShards`   503  every shard is quarantined — the
                                 deployment cannot serve until restarted
-:class:`NoHealthyReplicas` 503  every replica is ejected or quarantined —
-                                the router has nowhere to send the request
 :class:`FaultInjected`     500  an injected worker fault (chaos testing
                                 only; see :mod:`repro.serve.faults`)
 =====================  ======  =============================================
@@ -37,7 +35,6 @@ __all__ = [
     "Overloaded",
     "Draining",
     "NoHealthyShards",
-    "NoHealthyReplicas",
     "ShardCrash",
     "FaultInjected",
 ]
@@ -73,16 +70,6 @@ class Draining(ServeError):
 
 class NoHealthyShards(ServeError):
     """Every shard is quarantined; the deployment cannot serve."""
-
-
-class NoHealthyReplicas(ServeError):
-    """Every replica is ejected or quarantined; the router has nowhere
-    to send the request.  ``retry_after`` is the suggested wait in
-    seconds (the router sends it as a ``Retry-After`` header)."""
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = float(retry_after)
 
 
 class ShardCrash(ServeError):

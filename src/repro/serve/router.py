@@ -208,13 +208,12 @@ class _Member:
         self.inflight = 0
         self.probe_failures = 0   # consecutive
         self.probe_successes = 0  # consecutive
-        self.probe_failures_total = 0
         self.last_status: Optional[str] = None  # replica-reported
 
     def routable(self) -> bool:
         return self.state in ("ok", "suspect")
 
-    def as_dict(self) -> Dict[str, Any]:
+    def as_dict(self, probe_failures_total: int) -> Dict[str, Any]:
         return {
             "id": self.id,
             "url": self.url,
@@ -222,7 +221,7 @@ class _Member:
             "breaker": self.breaker.state,
             "inflight": self.inflight,
             "probe_failures": self.probe_failures,
-            "probe_failures_total": self.probe_failures_total,
+            "probe_failures_total": probe_failures_total,
             "last_status": self.last_status,
         }
 
@@ -336,11 +335,16 @@ class Router:
             labelnames=("replica",))
         self.metrics.add_collector(self._collect_metrics)
 
+    def _members_as_dicts(self) -> List[Dict[str, Any]]:
+        """Every member's table row (caller holds the lock)."""
+        return [member.as_dict(int(self._m_probe_failures.value(
+                    replica=member.id)))
+                for member in self._members.values()]
+
     def _collect_metrics(self) -> None:
         """Scrape-time mirror of membership/breaker/supervision state."""
         with self._lock:
-            members = list(self._members.values())
-            snapshots = [member.as_dict() for member in members]
+            snapshots = self._members_as_dicts()
         self._m_state.clear()
         self._m_breaker.clear()
         self._m_inflight.clear()
@@ -355,8 +359,6 @@ class Router:
                     replica=snap["id"], state=state)
             self._m_inflight.set(float(snap["inflight"]),
                                  replica=snap["id"])
-            self._m_probe_failures.set_to(
-                float(snap["probe_failures_total"]), replica=snap["id"])
         if self._replica_set is not None:
             for replica in self._replica_set.stats()["replicas"]:
                 self._m_respawns.set_to(float(replica["restarts"]),
@@ -451,7 +453,7 @@ class Router:
     def _probe_failure(self, member: _Member) -> None:
         member.probe_successes = 0
         member.probe_failures += 1
-        member.probe_failures_total += 1
+        self._m_probe_failures.inc(replica=member.id)
         if member.state == "ok":
             member.state = "suspect"
         elif member.state == "suspect" and \
@@ -672,8 +674,7 @@ class Router:
         ``draining``; plus the per-member table."""
         with self._lock:
             draining = self._draining
-            members = [member.as_dict()
-                       for member in self._members.values()]
+            members = self._members_as_dicts()
         routable = sum(1 for member in members
                        if member["state"] in ("ok", "suspect"))
         if draining:
@@ -703,15 +704,8 @@ class Router:
         return payload
 
     def stats(self) -> Dict[str, Any]:
-        from ..obs.metrics import parse_prometheus
-
         snapshot = self.health()
-        parsed = parse_prometheus(self.metrics.render())
-        snapshot["counters"] = {
-            name: sum(series["samples"].values())
-            for name, series in parsed.items()
-            if series["type"] == "counter"
-        }
+        snapshot["counters"] = self.metrics.counter_totals()
         return snapshot
 
     def metrics_text(self) -> str:

@@ -124,6 +124,16 @@ class ServeConfig:
         return FaultPlan.from_env()
 
 
+def _cache_instruments(metrics: MetricsRegistry):
+    """The result cache's hit and miss counters and entries gauge."""
+    return (
+        metrics.counter("repro_cache_hits_total", "Result-cache hits."),
+        metrics.counter("repro_cache_misses_total", "Result-cache misses."),
+        metrics.gauge("repro_cache_entries",
+                      "Rows currently in the result cache."),
+    )
+
+
 class ResultCache:
     """A tiny thread-safe LRU of request results keyed by input bytes.
 
@@ -135,9 +145,13 @@ class ResultCache:
     delivered as fresh writeable copies — so a caller mutating its
     result can never poison later hits, and hit rows behave exactly
     like miss rows.
+
+    Hits and misses are counted into ``metrics`` (``None``: a private
+    registry), which :meth:`stats` reads back.
     """
 
-    def __init__(self, max_entries: int) -> None:
+    def __init__(self, max_entries: int,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if max_entries < 1:
             raise ValueError(
                 f"cache size must be >= 1, got {max_entries}"
@@ -145,8 +159,11 @@ class ResultCache:
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_hits, self._m_misses, self._m_entries = \
+            _cache_instruments(self.metrics)
+        self.metrics.add_collector(
+            lambda: self._m_entries.set(len(self._entries)))
 
     @staticmethod
     def make_key(kind: str, sample: np.ndarray) -> tuple:
@@ -158,9 +175,9 @@ class ResultCache:
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                self.misses += 1
+                self._m_misses.inc()
                 return None
-            self.hits += 1
+            self._m_hits.inc()
             self._entries.move_to_end(key)
             return value
 
@@ -173,18 +190,13 @@ class ResultCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._entries),
-                "max_entries": self.max_entries,
-            }
+        return {
+            "hits": int(self._m_hits.value()),
+            "misses": int(self._m_misses.value()),
+            "size": len(self._entries),
+            "max_entries": self.max_entries,
+        }
 
 
 class Server:
@@ -238,15 +250,10 @@ class Server:
         self._draining = False
         self._inflight = 0
         self._lock = threading.Lock()
-        # Admission/deadline tallies (mirrored into both the metrics
-        # registry and the merged stats()["counters"] dict).
-        self._admitted = 0
-        self._rejected_overloaded = 0
-        self._rejected_draining = 0
-        self._deadline_expired = 0
         # Per-deployment registry: two Servers in one process must never
-        # double-count, so each owns its own (the pool and batcher
-        # register their instruments here in start()).
+        # double-count, so each owns its own (the pool, batcher and
+        # cache register their instruments here in start()).  It is the
+        # only store of the serving tallies; stats() reads it back.
         self.metrics = MetricsRegistry()
         self._m_requests = self.metrics.counter(
             "repro_server_requests_total",
@@ -267,26 +274,9 @@ class Server:
         self._m_inflight = self.metrics.gauge(
             "repro_server_inflight",
             "Admitted requests not yet resolved.")
-        self._m_cache_hits = self.metrics.counter(
-            "repro_cache_hits_total", "Result-cache hits.")
-        self._m_cache_misses = self.metrics.counter(
-            "repro_cache_misses_total", "Result-cache misses.")
-        self._m_cache_size = self.metrics.gauge(
-            "repro_cache_entries", "Rows currently in the result cache.")
-        self.metrics.add_collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> None:
-        """Scrape-time refresh of admission occupancy and cache tallies
-        (collector callback)."""
-        with self._lock:
-            inflight = self._inflight
-            cache = self._cache
-        self._m_inflight.set(inflight)
-        if cache is not None:
-            snap = cache.stats()
-            self._m_cache_hits.set_to(snap["hits"])
-            self._m_cache_misses.set_to(snap["misses"])
-            self._m_cache_size.set(snap["size"])
+        _cache_instruments(self.metrics)  # exported even with caching off
+        self.metrics.add_collector(
+            lambda: self._m_inflight.set(self._inflight))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -314,7 +304,8 @@ class Server:
                 metrics=self.metrics,
             )
             self._cache = (
-                ResultCache(cfg.cache_size) if cfg.cache_size > 0 else None
+                ResultCache(cfg.cache_size, metrics=self.metrics)
+                if cfg.cache_size > 0 else None
             )
             self._loop = asyncio.new_event_loop()
             self._loop_thread = threading.Thread(
@@ -424,14 +415,12 @@ class Server:
         self.start()
         with self._lock:
             if self._draining:
-                self._rejected_draining += 1
                 self._m_rejects.inc(reason="draining")
                 raise Draining(
                     "server is draining and refuses new requests"
                 )
             limit = self.config.max_inflight
             if limit is not None and self._inflight >= limit:
-                self._rejected_overloaded += 1
                 self._m_rejects.inc(reason="overloaded")
                 raise Overloaded(
                     f"admission window full ({self._inflight} >= "
@@ -439,7 +428,6 @@ class Server:
                     retry_after=max(0.05, 4 * self.config.max_delay),
                 )
             self._inflight += 1
-            self._admitted += 1
         self._m_requests.inc(kind=kind)
         admitted_at = time.monotonic()
         batcher = self._batcher  # stop() may null the attribute anytime
@@ -466,8 +454,6 @@ class Server:
             except BaseException:  # noqa: BLE001 — cancelled future
                 return
             if isinstance(exc, DeadlineExceeded):
-                with self._lock:
-                    self._deadline_expired += 1
                 self._m_deadline.inc()
 
         try:
@@ -603,23 +589,20 @@ class Server:
         ``batcher`` / ``pool`` / ``cache`` sub-dicts (``None`` before
         :meth:`start`, and for ``cache`` when caching is off), plus a
         merged flat ``counters`` dict — the admission, batcher, cache
-        and supervision tallies in one place.
+        and supervision tallies in one place, read from :attr:`metrics`.
         """
         with self._lock:
             started = self._started
             batcher, pool, cache = self._batcher, self._pool, self._cache
             inflight = self._inflight
-            admitted = self._admitted
-            rejected_overloaded = self._rejected_overloaded
-            rejected_draining = self._rejected_draining
-            deadline_expired = self._deadline_expired
-        batcher_stats = batcher.stats.as_dict() if batcher else None
+        rejects = self._m_rejects
+        batcher_stats = batcher.stats() if batcher else None
         pool_stats = pool.stats() if pool else None
         cache_stats = cache.stats() if cache else None
         counters: Dict[str, Any] = {
             # "requests" counts admission (cache hits included);
             # "batched" only what reached the micro-batcher.
-            "requests": admitted,
+            "requests": int(self._m_requests.total()),
             "batched": batcher_stats["requests"] if batcher_stats else 0,
             "batches": batcher_stats["batches"] if batcher_stats else 0,
             "expired": batcher_stats["expired"] if batcher_stats else 0,
@@ -628,9 +611,9 @@ class Server:
             "failures": pool_stats["failures"] if pool_stats else 0,
             "retries": pool_stats["retries"] if pool_stats else 0,
             "restarts": sum(pool_stats["restarts"]) if pool_stats else 0,
-            "rejected_overloaded": rejected_overloaded,
-            "rejected_draining": rejected_draining,
-            "deadline_expired": deadline_expired,
+            "rejected_overloaded": int(rejects.value(reason="overloaded")),
+            "rejected_draining": int(rejects.value(reason="draining")),
+            "deadline_expired": int(self._m_deadline.value()),
             "inflight": inflight,
         }
         return {
@@ -684,7 +667,7 @@ class Server:
         payload.update(identity)
         payload["inflight"] = inflight
         payload["max_inflight"] = self.config.max_inflight
-        payload["batcher"] = batcher.stats.as_dict()
+        payload["batcher"] = batcher.stats()
         return payload
 
     def settle(self, timeout: float = 30.0) -> bool:

@@ -127,7 +127,6 @@ class _Shard:
         self.state = "ok"
         self.restarts = 0
         self.inflight = 0
-        self.dispatched = 0
 
     def available(self) -> bool:
         return self.state in ("ok", "recovering")
@@ -162,6 +161,9 @@ class ShardedPool:
     backoff_base, backoff_cap:
         Jittered exponential retry backoff: attempt ``k`` sleeps
         ``min(cap, base * 2**k)`` scaled by a uniform [0.5, 1) jitter.
+    metrics:
+        The registry the pool counts into (``None``: a private one);
+        :meth:`stats` and :meth:`health` read their tallies from it.
     """
 
     def __init__(
@@ -203,8 +205,6 @@ class ShardedPool:
         self._rr = itertools.count()
         self._closed = False
         self._shards: List[_Shard] = []
-        self.failures = 0  # fatal shard failures observed
-        self.retries = 0   # batches re-dispatched after a failure
 
         if backend == "process":
             if artifact is None:
@@ -226,47 +226,52 @@ class ShardedPool:
             executor, run = self._build_worker(index, plan)
             self._shards.append(_Shard(index, executor, run, plan))
 
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_failures = metrics.counter(
-                "repro_pool_failures_total",
-                "Fatal shard failures (worker death) observed.")
-            self._m_retries = metrics.counter(
-                "repro_pool_retries_total",
-                "Batches re-dispatched after a fatal shard failure.")
-            self._m_dispatched = metrics.counter(
-                "repro_pool_dispatched_total",
-                "Batches dispatched, by shard.", labelnames=("shard",))
-            self._m_restarts = metrics.counter(
-                "repro_pool_shard_restarts_total",
-                "Shard respawns, by shard.", labelnames=("shard",))
-            self._m_state = metrics.gauge(
-                "repro_pool_shard_state",
-                "Supervision state per shard (1 on the current state).",
-                labelnames=("shard", "state"))
-            self._m_inflight = metrics.gauge(
-                "repro_pool_shard_inflight",
-                "Batches in flight, by shard.", labelnames=("shard",))
-            self._m_quarantined = metrics.gauge(
-                "repro_pool_quarantined_shards",
-                "Shards currently quarantined.")
-            metrics.add_collector(self._collect_metrics)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_failures = self.metrics.counter(
+            "repro_pool_failures_total",
+            "Fatal shard failures (worker death) observed.")
+        self._m_retries = self.metrics.counter(
+            "repro_pool_retries_total",
+            "Batches re-dispatched after a fatal shard failure.")
+        self._m_dispatched = self.metrics.counter(
+            "repro_pool_dispatched_total",
+            "Batches dispatched, by shard.", labelnames=("shard",))
+        self._m_restarts = self.metrics.counter(
+            "repro_pool_shard_restarts_total",
+            "Shard respawns, by shard.", labelnames=("shard",))
+        self._m_state = self.metrics.gauge(
+            "repro_pool_shard_state",
+            "Supervision state per shard (1 on the current state).",
+            labelnames=("shard", "state"))
+        self._m_inflight = self.metrics.gauge(
+            "repro_pool_shard_inflight",
+            "Batches in flight, by shard.", labelnames=("shard",))
+        self._m_quarantined = self.metrics.gauge(
+            "repro_pool_quarantined_shards",
+            "Shards currently quarantined.")
+        self.metrics.add_collector(self._collect_metrics)
+
+    @property
+    def failures(self) -> int:
+        """Fatal shard failures observed."""
+        return int(self._m_failures.value())
+
+    @property
+    def retries(self) -> int:
+        """Batches re-dispatched after a failure."""
+        return int(self._m_retries.value())
+
+    def _dispatched(self, shard: _Shard) -> int:
+        return int(self._m_dispatched.value(shard=str(shard.index)))
 
     def _collect_metrics(self) -> None:
-        """Scrape-time refresh: mirror the supervision tallies the pool
-        already keeps (collector callback — the dispatch hot path pays
-        nothing for metrics freshness)."""
+        """Scrape-time refresh of the per-shard gauges (collector
+        callback — the dispatch hot path pays nothing for them)."""
         with self._lock:
-            rows = [(s.index, s.state, s.inflight, s.dispatched, s.restarts)
-                    for s in self._shards]
-            failures, retries = self.failures, self.retries
-        self._m_failures.set_to(failures)
-        self._m_retries.set_to(retries)
+            rows = [(s.index, s.state, s.inflight) for s in self._shards]
         quarantined = 0
-        for index, state, inflight, dispatched, restarts in rows:
+        for index, state, inflight in rows:
             shard = str(index)
-            self._m_dispatched.set_to(dispatched, shard=shard)
-            self._m_restarts.set_to(restarts, shard=shard)
             self._m_inflight.set(inflight, shard=shard)
             for name in SHARD_STATES:
                 self._m_state.set(1.0 if name == state else 0.0,
@@ -371,7 +376,7 @@ class ShardedPool:
             with self._lock:
                 shard = self._acquire(deadline)
                 shard.inflight += 1
-                shard.dispatched += 1
+                self._m_dispatched.inc(shard=str(shard.index))
                 executor, run = shard.executor, shard.run
         except BaseException as exc:  # noqa: BLE001 — forwarded
             self._resolve(outer, exc=exc)
@@ -428,7 +433,7 @@ class ShardedPool:
                   kind: str, fields: np.ndarray, outer: Future,
                   attempt: int, deadline: Optional[float]) -> None:
         with self._state_changed:
-            self.failures += 1
+            self._m_failures.inc()
             if shard.available() and shard.executor is executor:
                 # First detector of this death owns the respawn; every
                 # other in-flight batch on the broken executor only
@@ -437,6 +442,7 @@ class ShardedPool:
                 # death is the *old* incarnation's, not a new one).
                 shard.state = "respawning"
                 shard.restarts += 1
+                self._m_restarts.inc(shard=str(shard.index))
                 self._state_changed.notify_all()
                 threading.Thread(
                     target=self._respawn, args=(shard,),
@@ -446,7 +452,7 @@ class ShardedPool:
                 retry = False
             else:
                 retry = True
-                self.retries += 1
+                self._m_retries.inc()
         if not retry:
             self._resolve(outer, exc=exc)
             return
@@ -536,7 +542,8 @@ class ShardedPool:
                 "shards": self.shards,
                 "backend": self.backend,
                 "precision": self.precision,
-                "dispatched": [shard.dispatched for shard in self._shards],
+                "dispatched": [self._dispatched(shard)
+                               for shard in self._shards],
                 "inflight": [shard.inflight for shard in self._shards],
                 "states": [shard.state for shard in self._shards],
                 "restarts": [shard.restarts for shard in self._shards],
@@ -554,12 +561,11 @@ class ShardedPool:
                     "index": shard.index,
                     "state": shard.state,
                     "restarts": shard.restarts,
-                    "dispatched": shard.dispatched,
+                    "dispatched": self._dispatched(shard),
                     "inflight": shard.inflight,
                 }
                 for shard in self._shards
             ]
-            failures, retries = self.failures, self.retries
         states = [entry["state"] for entry in shards]
         if all(state == "quarantined" for state in states):
             status = "unhealthy"
@@ -571,8 +577,8 @@ class ShardedPool:
             "status": status,
             "shards": shards,
             "restarts": sum(entry["restarts"] for entry in shards),
-            "failures": failures,
-            "retries": retries,
+            "failures": self.failures,
+            "retries": self.retries,
         }
 
     def close(self) -> None:

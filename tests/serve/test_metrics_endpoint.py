@@ -1,6 +1,9 @@
 """/metrics exposition: served text consistent with stats() ground truth
 under load and under fault injection."""
 
+import asyncio
+import sys
+import threading
 import time
 import urllib.request
 
@@ -10,7 +13,15 @@ import pytest
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
 from repro.obs.metrics import parse_prometheus
-from repro.serve import ServeConfig, Server
+from repro.serve import (
+    DeadlineExceeded,
+    FaultPlan,
+    MicroBatcher,
+    ResultCache,
+    ServeConfig,
+    Server,
+    ShardedPool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +121,13 @@ class TestMetricsUnderFaults:
             stats = server.stats()
             flat = _flat_samples(server.metrics_text())
         assert health["status"] == "ok"
+        batcher = stats["batcher"]
+        assert batcher["batches"] == flat["repro_batcher_batch_size_count"]
+        assert batcher["mean_batch"] == round(
+            flat["repro_batcher_batch_size_sum"]
+            / flat["repro_batcher_batch_size_count"], 3)
+        assert batcher["expired"] == \
+            flat.get("repro_batcher_expired_total", 0)
         restarts = sum(value for key, value in flat.items()
                        if key.startswith(
                            "repro_pool_shard_restarts_total"))
@@ -142,3 +160,91 @@ class TestMetricsUnderFaults:
             for _ in range(5):
                 server.metrics_text()
             assert np.array_equal(served, serial)
+
+
+class TestStatsReadTheRegistry:
+    """A component built without a registry counts into a private one,
+    and its stats() is a view over exactly those instruments."""
+
+    def test_batcher_pool_and_cache_stats_equal_own_metrics(self, model,
+                                                            images):
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        pool = ShardedPool(model=model, shards=2,
+                           faults=FaultPlan.parse("kill:shard=1,after=1"))
+        batcher = MicroBatcher(pool, loop, max_batch=3, max_delay=0.005)
+        try:
+            futures = [batcher.submit_nowait("predict", image)
+                       for image in images]
+            expired = batcher.submit_nowait("predict", images[0],
+                                            deadline=time.monotonic() - 1)
+            rows = [future.result(timeout=30) for future in futures]
+            with pytest.raises(DeadlineExceeded):
+                expired.result(timeout=30)
+            assert pool.settle(timeout=10.0)
+        finally:
+            batcher.close()
+            pool.close()
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=10)
+            loop.close()
+        assert not thread.is_alive()
+        assert np.array_equal(np.asarray(rows), model.predict(images))
+        assert batcher.metrics is not pool.metrics
+
+        stats = batcher.stats()
+        flat = batcher.metrics.as_dict()
+        assert stats["requests"] == flat["repro_batcher_requests_total"] \
+            == len(images)
+        assert stats["expired"] == flat["repro_batcher_expired_total"] == 1
+        assert stats["batches"] == flat["repro_batcher_batch_size_count"]
+        assert stats["mean_batch"] == round(
+            flat["repro_batcher_batch_size_sum"] / stats["batches"], 3)
+        for reason in ("full", "timer", "drain"):
+            assert stats[f"{reason}_flushes"] == flat.get(
+                f'repro_batcher_flushes_total{{reason="{reason}"}}', 0)
+
+        stats = pool.stats()
+        flat = pool.metrics.as_dict()
+        assert stats["failures"] == flat["repro_pool_failures_total"] >= 1
+        assert stats["retries"] == flat["repro_pool_retries_total"] >= 1
+        for shard, dispatched in enumerate(stats["dispatched"]):
+            assert dispatched == flat[
+                f'repro_pool_dispatched_total{{shard="{shard}"}}']
+        assert sum(stats["restarts"]) == sum(
+            value for key, value in flat.items()
+            if key.startswith("repro_pool_shard_restarts_total")) == 1
+
+        cache = ResultCache(2)
+        key = ResultCache.make_key("predict", images[0])
+        assert cache.get(key) is None
+        cache.put(key, np.zeros(3))
+        assert cache.get(key) is not None
+        stats = cache.stats()
+        flat = cache.metrics.as_dict()
+        assert stats["hits"] == flat["repro_cache_hits_total"] == 1
+        assert stats["misses"] == flat["repro_cache_misses_total"] == 1
+        assert stats["size"] == flat["repro_cache_entries"] == 1
+
+    def test_concurrent_expiries_are_never_lost(self):
+        # The expired-on-arrival path runs outside the batcher lock on
+        # every caller's thread, and touches neither pool nor loop.
+        batcher = MicroBatcher(pool=None, loop=None)
+        sample = np.zeros((4, 4))
+        threads, per_thread = 8, 400
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=lambda: [
+                batcher.submit_nowait("predict", sample, deadline=0.0)
+                for _ in range(per_thread)]) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert batcher.stats()["expired"] == threads * per_thread == \
+            batcher.metrics.as_dict()["repro_batcher_expired_total"]
