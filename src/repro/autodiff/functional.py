@@ -1,9 +1,10 @@
 """Neural-network functional layer built from autodiff primitives.
 
-Provides the handful of classic operations the DONN training loss needs:
-softmax, losses, activations and small statistics helpers.  Everything here
-is a composition of :mod:`repro.autodiff.ops` primitives, so gradients come
-for free and are covered by the primitive gradchecks.
+Provides the handful of operations the DONN losses and regularizers need:
+one-hot targets, softmax, the paper's training loss and a variance
+helper.  Everything here is a composition of :mod:`repro.autodiff.ops`
+primitives, so gradients come for free and are covered by the primitive
+gradchecks.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "one_hot",
     "softmax",
-    "log_softmax",
-    "relu",
     "mse_softmax_loss",
-    "cross_entropy",
     "variance",
-    "normalize_unit_power",
 ]
 
 
@@ -44,21 +41,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     return exps / ops.sum(exps, axis=axis, keepdims=True)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
-    """Numerically stabilized log-softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - ops.max(x, axis=axis, keepdims=True).detach()
-    logsum = ops.log(ops.sum(ops.exp(shifted), axis=axis, keepdims=True))
-    return shifted - logsum
-
-
-def relu(x) -> Tensor:
-    """Rectified linear unit (gradient 0 at the kink)."""
-    x = as_tensor(x)
-    mask = Tensor((x.data > 0).astype(x.data.dtype))
-    return x * mask
-
-
 def mse_softmax_loss(logits, targets, num_classes: Optional[int] = None) -> Tensor:
     """The paper's training loss: ``l = || softmax(I) - t ||^2`` (Eq. 5).
 
@@ -76,15 +58,6 @@ def mse_softmax_loss(logits, targets, num_classes: Optional[int] = None) -> Tens
     return ops.mean(per_sample)
 
 
-def cross_entropy(logits, targets) -> Tensor:
-    """Mean cross-entropy from raw logits and integer labels."""
-    logits = as_tensor(logits)
-    logp = log_softmax(logits, axis=-1)
-    batch = logp.shape[0]
-    picked = ops.getitem(logp, (np.arange(batch), np.asarray(targets)))
-    return -ops.mean(picked)
-
-
 def variance(x, axis=None, ddof: int = 0, keepdims: bool = False) -> Tensor:
     """Differentiable variance (``ddof`` as in :func:`numpy.var`)."""
     x = as_tensor(x)
@@ -98,14 +71,3 @@ def variance(x, axis=None, ddof: int = 0, keepdims: bool = False) -> Tensor:
     centered = x - ops.mean(x, axis=axis, keepdims=True)
     squared = ops.sum(centered * centered, axis=axis, keepdims=keepdims)
     return squared * (1.0 / (count - ddof))
-
-
-def normalize_unit_power(field) -> Tensor:
-    """Scale a complex field so its total intensity (power) equals 1.
-
-    Used to normalize encoded input fields so that detector intensities are
-    comparable across images regardless of ink coverage.
-    """
-    field = as_tensor(field)
-    power = ops.sum(ops.abs2(field), axis=(-2, -1), keepdims=True)
-    return field / ops.sqrt(power + 1e-30)

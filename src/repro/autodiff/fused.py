@@ -52,7 +52,6 @@ __all__ = [
     "propagate",
     "fused_enabled",
     "fused_disabled",
-    "clear_scratch",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -96,17 +95,6 @@ def _scratch():
 
         _SCRATCH = ScratchBuffers()
     return _SCRATCH
-
-
-def clear_scratch() -> None:
-    """Release the calling thread's fused-op scratch buffers.
-
-    The pool retains the largest padded work plane a thread has ever
-    used (``batch * padded_n^2`` complex128); long-lived processes that
-    finished a large training run can reclaim that memory here.
-    """
-    if _SCRATCH is not None:
-        _SCRATCH.clear()
 
 
 def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,14 @@
 """Minimal module/parameter system (the ``torch.nn.Module`` analogue).
 
-Modules auto-register :class:`Parameter` attributes and child modules, expose
-recursive parameter iteration and flat ``state_dict`` round-tripping — enough
-to express DONN models, optimizers and checkpointing without PyTorch.
+Modules auto-register :class:`Parameter` attributes and child modules and
+expose recursive parameter iteration — enough to express DONN models and
+hand their parameters to an optimizer without PyTorch.  Model persistence
+lives in :mod:`repro.utils.serialization`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, key: str, value) -> None:
         if isinstance(value, Parameter):
@@ -54,12 +54,6 @@ class Module:
         for key, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{key}.")
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants (depth first)."""
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     # ------------------------------------------------------------------
     # Training utilities
     # ------------------------------------------------------------------
@@ -67,45 +61,6 @@ class Module:
         """Clear gradients on every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (returned for chaining)."""
-        for module in self.modules():
-            object.__setattr__(module, "training", bool(mode))
-        return self
-
-    def eval(self) -> "Module":
-        """Set inference mode recursively."""
-        return self.train(False)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat mapping of parameter names to copied arrays."""
-        return {
-            name: np.array(param.data, copy=True)
-            for name, param in self.named_parameters()
-        }
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter arrays produced by :meth:`state_dict`.
-
-        Raises ``KeyError`` on missing entries and ``ValueError`` on shape
-        mismatch — silent partial loads hide real bugs.
-        """
-        params = dict(self.named_parameters())
-        missing = sorted(set(params) - set(state))
-        if missing:
-            raise KeyError(f"state dict is missing parameters: {missing}")
-        for name, param in params.items():
-            value = np.asarray(state[name])
-            if value.shape != param.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: expected {param.shape}, "
-                    f"got {value.shape}"
-                )
-            param.data = value.astype(param.data.dtype, copy=True)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -19,7 +19,6 @@ real part of the contribution (see ``tensor._coerce_to_parent``).
 
 from __future__ import annotations
 
-import builtins
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,11 +27,10 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "power", "matmul", "clone",
-    "exp", "log", "sqrt", "sin", "cos", "tanh", "sigmoid",
-    "absolute", "abs2", "conj", "real", "imag", "make_complex", "angle",
-    "sign", "maximum", "minimum", "clip", "where",
-    "sum", "mean", "max", "min",
-    "reshape", "transpose", "getitem", "pad2d", "stack", "concatenate",
+    "exp", "sqrt", "sigmoid",
+    "absolute", "abs2", "conj", "real", "imag", "make_complex",
+    "sum", "mean", "max",
+    "reshape", "transpose", "getitem", "pad2d",
 ]
 
 
@@ -142,34 +140,10 @@ def exp(x) -> Tensor:
     return _build(out, [(x, lambda g: g * np.conj(out))])
 
 
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    x_data = x.data
-    return _build(np.log(x_data), [(x, lambda g: g * np.conj(1.0 / x_data))])
-
-
 def sqrt(x) -> Tensor:
     x = as_tensor(x)
     out = np.sqrt(x.data)
     return _build(out, [(x, lambda g: g * np.conj(0.5 / out))])
-
-
-def sin(x) -> Tensor:
-    x = as_tensor(x)
-    x_data = x.data
-    return _build(np.sin(x_data), [(x, lambda g: g * np.conj(np.cos(x_data)))])
-
-
-def cos(x) -> Tensor:
-    x = as_tensor(x)
-    x_data = x.data
-    return _build(np.cos(x_data), [(x, lambda g: g * np.conj(-np.sin(x_data)))])
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-    return _build(out, [(x, lambda g: g * np.conj(1.0 - out * out))])
 
 
 def sigmoid(x) -> Tensor:
@@ -241,73 +215,6 @@ def absolute(x) -> Tensor:
     return _build(out, [(x, vjp)])
 
 
-def angle(x) -> Tensor:
-    """Phase of a complex tensor, differentiable away from the origin."""
-    x = as_tensor(x)
-    x_data = x.data
-    out = np.angle(x_data)
-    mag2 = (x_data * np.conj(x_data)).real
-
-    def vjp(g):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(mag2 == 0, 0, 1.0 / np.where(mag2 == 0, 1, mag2))
-        return 1j * x_data * scale * np.real(g)
-
-    return _build(out, [(x, vjp)])
-
-
-def sign(x) -> Tensor:
-    """Elementwise sign; treated as a constant (zero gradient)."""
-    x = as_tensor(x)
-    return Tensor(np.sign(x.data))
-
-
-# ----------------------------------------------------------------------
-# Comparison-style ops (real tensors)
-# ----------------------------------------------------------------------
-def maximum(a, b) -> Tensor:
-    """Elementwise max of two real tensors (ties route gradient to ``a``)."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = a.data >= b.data
-    out = np.where(mask, a.data, b.data)
-    return _build(
-        out, [(a, lambda g: g * mask), (b, lambda g: g * (~mask))]
-    )
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise min of two real tensors (ties route gradient to ``a``)."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = a.data <= b.data
-    out = np.where(mask, a.data, b.data)
-    return _build(
-        out, [(a, lambda g: g * mask), (b, lambda g: g * (~mask))]
-    )
-
-
-def clip(x, lo: Optional[float], hi: Optional[float]) -> Tensor:
-    """Clamp a real tensor to ``[lo, hi]``; gradient is 1 strictly inside."""
-    x = as_tensor(x)
-    out = np.clip(x.data, lo, hi)
-    inside = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        inside &= x.data > lo
-    if hi is not None:
-        inside &= x.data < hi
-    return _build(out, [(x, lambda g: g * inside)])
-
-
-def where(condition, a, b) -> Tensor:
-    """Select ``a`` where ``condition`` else ``b`` (condition is constant)."""
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    cond = cond.astype(bool)
-    a, b = as_tensor(a), as_tensor(b)
-    out = np.where(cond, a.data, b.data)
-    return _build(
-        out, [(a, lambda g: g * cond), (b, lambda g: g * (~cond))]
-    )
-
-
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
@@ -350,11 +257,12 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _build(np.asarray(out), [(x, vjp)])
 
 
-def _extremum(x, axis, keepdims, np_fn) -> Tensor:
+def max(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
+    """Maximum over ``axis``; ties share the gradient equally."""
     x = as_tensor(x)
     if x.is_complex:
-        raise TypeError("max/min are undefined for complex tensors")
-    out = np_fn(x.data, axis=axis, keepdims=keepdims)
+        raise TypeError("max is undefined for complex tensors")
+    out = np.max(x.data, axis=axis, keepdims=keepdims)
     x_data, shape = x.data, x.shape
 
     def vjp(g):
@@ -367,16 +275,6 @@ def _extremum(x, axis, keepdims, np_fn) -> Tensor:
         return full * mask / counts
 
     return _build(np.asarray(out), [(x, vjp)])
-
-
-def max(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    """Maximum over ``axis``; ties share the gradient equally."""
-    return _extremum(x, axis, keepdims, np.max)
-
-
-def min(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    """Minimum over ``axis``; ties share the gradient equally."""
-    return _extremum(x, axis, keepdims, np.min)
 
 
 # ----------------------------------------------------------------------
@@ -431,35 +329,3 @@ def pad2d(x, pad: Union[int, Tuple[int, int]]) -> Tensor:
         return g[..., py:py + h, px:px + w]
 
     return _build(out, [(x, vjp)])
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def make_vjp(index: int):
-        def vjp(g):
-            return np.take(np.asarray(g), index, axis=axis)
-
-        return vjp
-
-    return _build(out, [(t, make_vjp(i)) for i, t in enumerate(tensors)])
-
-
-def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(index: int):
-        lo, hi = offsets[index], offsets[index + 1]
-
-        def vjp(g):
-            slicer = [builtins.slice(None)] * np.asarray(g).ndim
-            slicer[axis] = builtins.slice(lo, hi)
-            return np.asarray(g)[tuple(slicer)]
-
-        return vjp
-
-    return _build(out, [(t, make_vjp(i)) for i, t in enumerate(tensors)])

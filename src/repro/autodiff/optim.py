@@ -1,9 +1,9 @@
-"""First-order optimizers and learning-rate schedules.
+"""The Adam optimizer and the checkpointable optimizer base.
 
 The paper trains with Adam (lr 0.2 for baselines, 0.001 during SLR
-sparsification); SGD is provided for tests and ablations.  Both optimizers
-support complex parameters elementwise — the second Adam moment uses
-``|g|^2`` so complex phases could be optimized directly if desired.
+sparsification).  Adam supports complex parameters elementwise — the
+second moment uses ``|g|^2`` so complex phases could be optimized
+directly if desired.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "ExponentialLR"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -48,7 +48,7 @@ class Optimizer:
         Arrays are returned by reference; callers that persist them must
         copy (``np.savez`` does).  ``load_state_dict`` restores the
         snapshot exactly — a resumed training run steps with the same
-        moments/velocities an uninterrupted one would have
+        moments an uninterrupted one would have
         (byte-identical, test-enforced via the trainer checkpoints).
         """
         return {"lr": self.lr, **self._state_slots()}
@@ -81,50 +81,6 @@ class Optimizer:
                 f"entries for {n_params} parameter(s)"
             )
         return values
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[index] is None:
-                    # State adopts the gradient's dtype, so single-
-                    # precision training keeps its optimizer state (and
-                    # memory traffic) in float32 while the float64
-                    # master weights stay exact.
-                    self._velocity[index] = np.zeros_like(grad)
-                self._velocity[index] = (
-                    self.momentum * self._velocity[index] + grad
-                )
-                grad = self._velocity[index]
-            param.data = param.data - self.lr * grad
-
-    def _state_slots(self) -> dict:
-        return {"velocity": list(self._velocity)}
-
-    def _load_state_slots(self, state: dict) -> None:
-        self._velocity = self._check_slot(
-            "velocity", state["velocity"], len(self.params)
-        )
 
 
 class Adam(Optimizer):
@@ -182,42 +138,3 @@ class Adam(Optimizer):
         self._step_count = int(state["step_count"])
         self._m = self._check_slot("m", state["m"], len(self.params))
         self._v = self._check_slot("v", state["v"], len(self.params))
-
-
-class _Scheduler:
-    """Base learning-rate schedule; call :meth:`step` once per epoch."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self._lr_at(self.epoch)
-
-    def _lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(_Scheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class ExponentialLR(_Scheduler):
-    """Multiply the learning rate by ``gamma`` each epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float):
-        super().__init__(optimizer)
-        self.gamma = float(gamma)
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** epoch

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["seed_all", "get_rng", "spawn_rng", "rand", "randn", "gumbel",
-           "get_state", "set_state"]
+__all__ = ["seed_all", "get_rng", "spawn_rng", "gumbel", "get_state",
+           "set_state"]
 
 _DEFAULT_SEED = 0
 _rng = np.random.default_rng(_DEFAULT_SEED)
@@ -48,16 +48,6 @@ def get_rng(rng: Optional[np.random.Generator] = None) -> np.random.Generator:
 def spawn_rng(seed: int) -> np.random.Generator:
     """Create an independent generator (does not disturb the global one)."""
     return np.random.default_rng(seed)
-
-
-def rand(*shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Uniform samples in ``[0, 1)``."""
-    return get_rng(rng).random(shape)
-
-
-def randn(*shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Standard normal samples."""
-    return get_rng(rng).standard_normal(shape)
 
 
 def gumbel(shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:

@@ -434,10 +434,6 @@ def read_manifest(sweep_dir: Union[str, Path]) -> Dict[str, Any]:
     return manifest
 
 
-# Backwards-compatible internal alias (pre-dates the public reader).
-_read_manifest = read_manifest
-
-
 def run_sweep_dir(
     sweep_dir: Union[str, Path],
     spec: Optional[Mapping[str, Any]] = None,
@@ -468,7 +464,7 @@ def run_sweep_dir(
     sweep_dir = Path(sweep_dir)
     say = echo if echo is not None else (lambda message: None)
     if resume:
-        manifest = _read_manifest(sweep_dir)
+        manifest = read_manifest(sweep_dir)
         spec = manifest["spec"]
     else:
         if spec is None:
@@ -642,7 +638,7 @@ def format_sweep(sweep_dir: Union[str, Path]) -> str:
     render byte-identical text (the chaos gate diffs exactly this).
     """
     sweep_dir = Path(sweep_dir)
-    manifest = _read_manifest(sweep_dir)
+    manifest = read_manifest(sweep_dir)
     runs_root = sweep_dir / RUNS_SUBDIR
     rows = []
     for entry in manifest["points"]:

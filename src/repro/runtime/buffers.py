@@ -28,8 +28,8 @@ class ScratchBuffers:
     Storage is per-thread (``threading.local``), which makes a pool
     shared across engines — e.g. a model's pool — safe under concurrent
     inference, and lets a dead thread's buffers be garbage-collected
-    instead of stranding them in the pool.  ``nbytes``/``clear``
-    therefore see the *calling thread's* buffers.
+    instead of stranding them in the pool.  ``nbytes`` therefore sees
+    the *calling thread's* buffers.
 
     Pools pickle/deepcopy as empty (scratch contents are pure caches).
     """
@@ -81,7 +81,3 @@ class ScratchBuffers:
     def nbytes(self) -> int:
         """Total bytes held for the calling thread."""
         return sum(buf.nbytes for buf in self._store().values())
-
-    def clear(self) -> None:
-        """Release the calling thread's buffers."""
-        self._store().clear()

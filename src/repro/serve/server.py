@@ -68,10 +68,6 @@ class ServeConfig:
     trained at": the artifact header's recorded training precision, or
     ``"double"`` when it carries none (and for live models).
 
-    ``engine_batch`` (the engine's internal chunk size) defaults to
-    ``max(64, max_batch)`` so a full frontend flush always runs as a
-    single engine chunk.
-
     ``cache_size`` > 0 enables a small LRU result cache keyed by the
     request's input bytes: repeated identical requests short-circuit the
     batcher/engine entirely (hits are byte-identical to misses,
@@ -100,7 +96,6 @@ class ServeConfig:
     max_delay: float = 0.002
     shards: int = 1
     backend: str = "thread"
-    engine_batch: Optional[int] = None
     host: str = "127.0.0.1"
     port: int = 8000
     cache_size: int = 0
@@ -110,11 +105,6 @@ class ServeConfig:
     max_restarts: int = 2
     faults: Optional[str] = None
     replica_id: Optional[str] = None
-
-    def resolved_engine_batch(self) -> int:
-        if self.engine_batch is not None:
-            return int(self.engine_batch)
-        return max(64, int(self.max_batch))
 
     def resolved_faults(self) -> Optional[FaultPlan]:
         """The configured fault plan: ``faults`` wins, else the
@@ -297,7 +287,8 @@ class Server:
                 shards=cfg.shards,
                 backend=cfg.backend,
                 precision=self.resolved_precision(),
-                engine_batch=cfg.resolved_engine_batch(),
+                # A full frontend flush runs as one engine chunk.
+                engine_batch=max(64, cfg.max_batch),
                 faults=cfg.resolved_faults(),
                 max_retries=cfg.max_retries,
                 max_restarts=cfg.max_restarts,
@@ -640,8 +631,10 @@ class Server:
         :meth:`start`, and the package ``version``.
 
         ``degraded`` means traffic is still served while at least one
-        shard is down, respawning or catching up — the signal a replica
-        router uses to deprioritize (not drop) this instance.
+        shard is down, respawning or catching up.  ``/healthz`` answers
+        it with HTTP 200 like ``ok``, so a replica router's probe counts
+        the instance as healthy and keeps routing to it; the router only
+        records the reported status (``last_status``) for display.
         """
         with self._lock:
             started, draining = self._started, self._draining

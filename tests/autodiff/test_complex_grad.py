@@ -92,10 +92,6 @@ class TestComplexStructureOps:
         with pytest.raises(TypeError):
             ops.make_complex(z, z)
 
-    def test_angle(self):
-        z = make_complex_param((3,), 118) + Tensor(np.full(3, 4.0 + 4j))
-        gradcheck(lambda: ops.sum(ops.angle(z) ** 2), [z])
-
     def test_phase_modulation_pattern(self):
         # The DONN modulation W = exp(i*phi) with real trainable phi.
         phi = make_real_param((4, 4), 119, low=0.0, high=2 * np.pi)

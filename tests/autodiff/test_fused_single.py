@@ -163,15 +163,3 @@ class TestOptimizerState:
         assert optimizer._v[0].dtype == np.float32
         # Master weights stay float64 regardless of compute precision.
         assert layer.phase.data.dtype == np.float64
-
-    def test_sgd_velocity_follows_gradient_dtype(self):
-        from repro.autodiff import SGD
-
-        layer = make_layer(seed=6)
-        optimizer = SGD([layer.phase], lr=0.05, momentum=0.9)
-        field = random_field((2, N, N), seed=10)
-        with precision_scope("single"):
-            optimizer.zero_grad()
-            ops.sum(ops.abs2(layer(Tensor(field)))).backward()
-            optimizer.step()
-        assert optimizer._velocity[0].dtype == np.float32

@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import (
-    Adam,
-    ExponentialLR,
-    Module,
-    Parameter,
-    SGD,
-    StepLR,
-    Tensor,
-    ops,
-)
+from repro.autodiff import Adam, Module, Parameter, Tensor, ops
 
 
 class Affine(Module):
@@ -55,85 +46,9 @@ class TestModule:
         m.zero_grad()
         assert m.weight.grad is None
 
-    def test_state_dict_roundtrip(self):
-        m1, m2 = Stacked(), Stacked()
-        for param in m1.parameters():
-            param.data = param.data + 1.0
-        m2.load_state_dict(m1.state_dict())
-        for (_, p1), (_, p2) in zip(m1.named_parameters(),
-                                    m2.named_parameters()):
-            assert np.array_equal(p1.data, p2.data)
-
-    def test_load_missing_key_raises(self):
-        m = Affine()
-        state = m.state_dict()
-        del state["bias"]
-        with pytest.raises(KeyError):
-            m.load_state_dict(state)
-
-    def test_load_bad_shape_raises(self):
-        m = Affine()
-        state = m.state_dict()
-        state["bias"] = np.zeros(5)
-        with pytest.raises(ValueError):
-            m.load_state_dict(state)
-
-    def test_train_eval_mode(self):
-        m = Stacked()
-        m.eval()
-        assert not m.training
-        assert not m.first.training
-        m.train()
-        assert m.second.training
-
     def test_forward_required(self):
         with pytest.raises(NotImplementedError):
             Module()(1)
-
-
-class TestSGD:
-    def test_quadratic_convergence(self):
-        x = Parameter(np.array([5.0, -3.0]))
-        opt = SGD([x], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = ops.sum(x * x)
-            loss.backward()
-            opt.step()
-        assert np.allclose(x.data, 0.0, atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            x = Parameter(np.array([5.0]))
-            opt = SGD([x], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                ops.sum(x * x).backward()
-                opt.step()
-            return abs(x.data[0])
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        x = Parameter(np.array([1.0]))
-        opt = SGD([x], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        # Zero data gradient; only decay acts.
-        (x * 0.0).sum().backward()
-        opt.step()
-        assert x.data[0] == pytest.approx(0.9)
-
-    def test_requires_grad_enforced(self):
-        with pytest.raises(ValueError):
-            SGD([Tensor(np.ones(2))], lr=0.1)
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_bad_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.0)
 
 
 class TestAdam:
@@ -185,23 +100,14 @@ class TestAdam:
         assert y.data[0] == pytest.approx(1.0)
         assert x.data[0] != 1.0
 
+    def test_requires_grad_enforced(self):
+        with pytest.raises(ValueError):
+            Adam([Tensor(np.ones(2))], lr=0.1)
 
-class TestSchedulers:
-    def test_step_lr(self):
-        x = Parameter(np.ones(1))
-        opt = SGD([x], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
-    def test_exponential_lr(self):
-        x = Parameter(np.ones(1))
-        opt = SGD([x], lr=2.0)
-        sched = ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
+    def test_bad_lr_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.ones(1))], lr=0.0)

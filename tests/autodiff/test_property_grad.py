@@ -51,15 +51,6 @@ def test_mul_gradcheck_random_shapes(data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(small_arrays(min_value=0.1, max_value=3.0))
-def test_log_exp_roundtrip_gradient(data):
-    # d(sum(log(exp(x))))/dx == 1.
-    x = Tensor(data, requires_grad=True)
-    ops.sum(ops.log(ops.exp(x))).backward()
-    assert np.allclose(x.grad, 1.0, atol=1e-8)
-
-
-@settings(max_examples=20, deadline=None)
 @given(
     st.integers(min_value=2, max_value=8),
     st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -95,8 +86,8 @@ def test_backward_additivity(data):
         return x.grad
 
     f = lambda x: ops.sum(x * x)  # noqa: E731
-    g = lambda x: ops.sum(ops.sin(x))  # noqa: E731
-    combined = lambda x: ops.sum(x * x) + ops.sum(ops.sin(x))  # noqa: E731
+    g = lambda x: ops.sum(ops.sigmoid(x))  # noqa: E731
+    combined = lambda x: ops.sum(x * x) + ops.sum(ops.sigmoid(x))  # noqa: E731
     assert np.allclose(grad_of(combined), grad_of(f) + grad_of(g), atol=1e-10)
 
 
