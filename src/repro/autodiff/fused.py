@@ -117,11 +117,13 @@ def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:
 
 def _propagate_padded(fields: np.ndarray, h: np.ndarray, pad: int,
                       n: int) -> np.ndarray:
-    """Embed ``(batch, n, n)`` fields in the padded scratch plane, run
-    the shared hop with ``h`` (``conj`` for the adjoint), and crop."""
-    work = _scratch().zeros("fused", (fields.shape[0],) + h.shape, h.dtype)
-    work[:, pad:pad + n, pad:pad + n] = fields
-    return _hop.propagate_rows(work, h, pad, n)[:, :, pad:pad + n]
+    """Embed ``(batch, n, n)`` fields in the aperture columns of the
+    scratch rows, run the shared hop with ``h`` (``conj`` for the
+    adjoint), and crop."""
+    side = h.shape[-1]
+    work = _scratch().zeros("fused", (fields.shape[0], n, side), h.dtype)
+    work[:, :, pad:pad + n] = fields
+    return _hop.propagate_rows(work, h, pad)[:, :, pad:pad + n]
 
 
 def _check_field(field: Tensor, n: int) -> None:

@@ -56,9 +56,9 @@ _BACKENDS = ("scipy", "numpy")
 #: ``("numpy", None)``.  Mutated only by :func:`set_backend`.
 _IMPL: Tuple[str, Optional[object]] = ("numpy", None)
 
-#: Default thread count forwarded to scipy transforms when the caller
-#: passes ``workers=None`` (``None`` = the backend's own default, i.e.
-#: single-threaded).
+#: Explicit thread count forwarded to scipy transforms when the caller
+#: passes ``workers=None``.  ``None`` = unset: transforms use the CPU
+#: budget (:func:`_resolve_workers`).
 _WORKERS: Optional[int] = None
 
 
@@ -115,10 +115,15 @@ def backend_name() -> str:
 
 
 def set_workers(workers: Optional[int]) -> None:
-    """Set the default thread count for scipy transforms (None = 1).
+    """Set the default thread count for scipy transforms.
 
-    Only affects calls that pass ``workers=None``; explicit per-call
-    values always win.  Ignored on the numpy fallback.
+    ``None`` clears it: transforms then use the CPU budget, one thread
+    per CPU this process may run on (one thread for lines shorter than
+    ``_THREADED_MIN_LENGTH``).  Child launchers (process shards,
+    replicas, table/sweep workers) call ``set_workers(1)`` so FFT
+    threads x processes stay within the CPUs.  Only affects calls that
+    pass ``workers=None``; explicit per-call values always win.
+    Ignored on the numpy fallback.
     """
     global _WORKERS
     if workers is not None:
@@ -130,12 +135,46 @@ def set_workers(workers: Optional[int]) -> None:
 
 
 def get_workers() -> Optional[int]:
-    """The process-wide default ``workers=`` value (None = backend default)."""
+    """The explicit process-wide ``workers=`` value (None = unset, the
+    CPU budget applies)."""
     return _WORKERS
 
 
-def _resolve_workers(workers: Optional[int]) -> Optional[int]:
-    return _WORKERS if workers is None else workers
+def _cpu_budget() -> int:
+    """CPUs this process may run on (its affinity mask where the OS
+    reports one, else the machine's CPU count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+#: Shortest transform the CPU budget runs on several threads.  pocketfft
+#: splits one call's lines across threads, and short lines leave too
+#: little work per thread to pay for the hand-off.  Measured on 2 CPUs
+#: with the blocked hop: two threads trained length-400 lines (n=200 at
+#: pad_factor 2) faster, left length 200 flat, and made the n=40 laptop
+#: table (length 80) ~10 % slower.
+_THREADED_MIN_LENGTH = 256
+
+
+def _resolve_workers(workers: Optional[int],
+                     length: Optional[int] = None) -> int:
+    """Threads for a transform over lines of ``length`` points: the
+    per-call value, else the process-wide one, else the CPU budget
+    (one thread for lines shorter than ``_THREADED_MIN_LENGTH``)."""
+    if workers is not None:
+        return workers
+    if _WORKERS is not None:
+        return _WORKERS
+    if length is not None and length < _THREADED_MIN_LENGTH:
+        return 1
+    return _cpu_budget()
+
+
+def _shortest(x, axes: Tuple[int, int]) -> int:
+    shape = np.shape(x)
+    return min(shape[axis] for axis in axes)
 
 
 def _match_dtype(result: np.ndarray, x) -> np.ndarray:
@@ -165,7 +204,8 @@ def fft(x, axis: int = -1, norm: Optional[str] = None,
     name, module = _IMPL
     if module is not None:
         return module.fft(x, axis=axis, norm=norm, overwrite_x=overwrite_x,
-                          workers=_resolve_workers(workers))
+                          workers=_resolve_workers(workers,
+                                                   np.shape(x)[axis]))
     return _match_dtype(np.fft.fft(x, axis=axis, norm=norm), x)
 
 
@@ -175,7 +215,8 @@ def ifft(x, axis: int = -1, norm: Optional[str] = None,
     name, module = _IMPL
     if module is not None:
         return module.ifft(x, axis=axis, norm=norm, overwrite_x=overwrite_x,
-                           workers=_resolve_workers(workers))
+                           workers=_resolve_workers(workers,
+                                                    np.shape(x)[axis]))
     return _match_dtype(np.fft.ifft(x, axis=axis, norm=norm), x)
 
 
@@ -187,7 +228,8 @@ def fft2(x, norm: Optional[str] = None, axes: Tuple[int, int] = (-2, -1),
     if module is not None:
         result = module.fft2(x, axes=axes, norm=norm,
                              overwrite_x=overwrite_x,
-                             workers=_resolve_workers(workers))
+                             workers=_resolve_workers(
+                                 workers, _shortest(x, axes)))
     else:
         result = _match_dtype(np.fft.fft2(x, axes=axes, norm=norm), x)
     return _deliver(result, out)
@@ -201,7 +243,8 @@ def ifft2(x, norm: Optional[str] = None, axes: Tuple[int, int] = (-2, -1),
     if module is not None:
         result = module.ifft2(x, axes=axes, norm=norm,
                               overwrite_x=overwrite_x,
-                              workers=_resolve_workers(workers))
+                              workers=_resolve_workers(
+                                  workers, _shortest(x, axes)))
     else:
         result = _match_dtype(np.fft.ifft2(x, axes=axes, norm=norm), x)
     return _deliver(result, out)
@@ -237,8 +280,8 @@ def _init_from_env() -> None:
         except ValueError as exc:
             raise ValueError(
                 f"{_WORKERS_ENV}={raw!r} is not a valid worker count: "
-                f"{exc} (use a nonzero integer, e.g. -1 for all cores, "
-                "or unset the variable for the single-threaded default)"
+                f"{exc} (use a nonzero integer, e.g. 1 for one thread, "
+                "or unset the variable for one thread per available CPU)"
             ) from exc
     else:
         set_workers(None)

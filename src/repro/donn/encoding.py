@@ -89,7 +89,14 @@ def encode_amplitude(
         raise ValueError("image intensities must be non-negative")
     amplitude = bilinear_resize(images, size)
     if normalize:
-        power = np.sum(amplitude ** 2, axis=(-2, -1), keepdims=True)
+        # Each sample's power is the sequential raster-order sum of its
+        # squares.  That is the order ``np.sum`` takes over a batch in
+        # the resize's batch-innermost layout, so batched fields (and
+        # every model trained on them) keep their values; ``np.sum`` on
+        # a lone sample switches to a pairwise sum, which would make a
+        # sample's field depend on its batch.
+        square = (amplitude ** 2).reshape(amplitude.shape[0], -1)
+        power = np.cumsum(square, axis=-1, out=square)[:, -1, None, None]
         # Blank images stay blank instead of dividing by zero.
         amplitude = amplitude / np.sqrt(np.maximum(power, 1e-30))
     dtype = np.dtype(dtype)

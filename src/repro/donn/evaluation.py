@@ -37,10 +37,11 @@ def _iter_batches(data: Union[DataLoader, Dataset], batch_size: int = 256):
                data.labels[start:start + batch_size])
 
 
-#: Internal engine chunk size for evaluation-built engines.  64 samples
-#: already saturate single-core FFT throughput, and the cap bounds the
-#: model's retained scratch pool (the padded work buffer scales with
-#: chunk x padded_n^2) independently of the data batch size.
+#: Internal engine chunk size for evaluation-built engines.  The chunk
+#: bounds memory: the model's retained scratch pool (the engine's
+#: interior-row work buffer scales with chunk x n x padded_n) stays
+#: fixed whatever the data batch size.  Cache blocking lives in the
+#: hop (``repro.backend.hop``), not here.
 _ENGINE_MAX_BATCH = 64
 
 

@@ -370,12 +370,14 @@ def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
     process-wide toggles — the FFT backend and the ambient precision
     policy (spawn-based platforms re-import the package, so programmatic
     ``set_backend`` / ``set_precision`` calls would otherwise be lost —
-    and with them the byte-identical-to-serial guarantee)."""
+    and with them the byte-identical-to-serial guarantee).  Each worker
+    runs one FFT thread: the workers, not the transforms, share the
+    CPUs."""
     global _WORKER_DATA
     _WORKER_DATA = data
     import signal
 
-    from ..backend import set_backend, set_precision
+    from ..backend import set_backend, set_precision, set_workers
 
     # Ctrl-C belongs to the orchestrator: it decides whether to drain
     # gracefully or hard-exit.  Workers ignoring SIGINT keeps a terminal
@@ -384,6 +386,7 @@ def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     set_backend(backend_name)
     set_precision(precision_name)
+    set_workers(1)
 
 
 def _recipe_task(task: tuple) -> RecipeResult:

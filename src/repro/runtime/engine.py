@@ -9,10 +9,10 @@ overhead:
 * **shared propagation kernels** — every hop's transfer function comes
   from the process-wide :mod:`~repro.runtime.kernel_cache`, so the
   ``L + 1`` hops of an ``L``-layer stack share one precomputed ``H``;
-* **fused pad/modulate/crop** — the field lives on the padded grid for
-  the whole stack; each layer's phase mask is embedded in a padded
-  complex array (zeros outside the aperture), so the autodiff path's
-  ``crop -> modulate -> pad`` becomes a single in-place multiply;
+* **fused pad/modulate/crop** — the field lives as the interior rows
+  of the padded grid for the whole stack; each layer's phase mask is
+  embedded in padded rows (zeros outside the aperture), so the autodiff
+  path's ``crop -> modulate -> pad`` becomes a single multiply;
 * **preallocated scratch buffers** — reused across batches and chunks;
 * **optional single precision** (``precision="single"``), roughly
   halving FFT memory bandwidth at ~1e-4 logit accuracy;
@@ -56,9 +56,10 @@ class InferenceEngine:
         forward) or ``"single"`` (complex64 fast path).
     max_batch:
         Largest number of samples propagated at once; bigger inputs are
-        streamed in chunks of this size.  The default (64) saturates
-        single-core FFT throughput while bounding scratch memory at
-        ``64 * padded_n^2`` complex elements.
+        streamed in chunks of this size.  The chunk bounds memory: the
+        engine's scratch holds ``max_batch * n * padded_n`` complex
+        elements.  It does not set FFT speed; cache blocking lives in
+        the hop (:func:`repro.backend.hop.propagate_rows`).
     buffers:
         Optional shared :class:`ScratchBuffers` pool (so many short-lived
         engines over one model reuse the same scratch memory).
@@ -240,32 +241,24 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _propagate_chunk(self, fields: np.ndarray) -> np.ndarray:
         """Run one chunk through the stack; returns the *cropped*
-        detector field ``(batch, n, n)`` (scratch, valid until the next
-        chunk).
+        detector field ``(batch, n, n)``.
 
-        The field stays on the padded grid for the whole stack, and
-        every hop is :func:`repro.backend.hop.propagate_rows`.  Each
-        hop's input is exactly zero outside the interior rows (the pad
-        border is never written; the padded modulation zeroes everything
-        it touches outside the aperture), which is the invariant that
-        hop's pruned transforms rely on.
+        The field lives as the ``n`` interior rows ``(batch, n, side)``
+        of the padded grid for the whole stack, and every hop is
+        :func:`repro.backend.hop.propagate_rows`, which owns the padded
+        plane.  Each hop's input is exactly zero outside the aperture
+        columns (the padded modulation rows zero everything they touch
+        there), which is the invariant that hop relies on.
         """
         batch = fields.shape[0]
         n, pad, side = self.n, self._pad, self._padded_n
-        rows = slice(pad, pad + n)
-        work = self._buffers.zeros(
-            "field", (batch, side, side), self._cdtype
-        )
-        work[:, rows, pad:pad + n] = fields
+        work = self._buffers.zeros("field", (batch, n, side), self._cdtype)
+        work[:, :, pad:pad + n] = fields
         last = len(self._hs) - 1
-        inner = None
         for hop, h in enumerate(self._hs):
-            inner = _hop.propagate_rows(work, h, pad, n)
+            inner = _hop.propagate_rows(work, h, pad)
             if hop < last:
-                # The modulation rows are zero outside the aperture
-                # columns, restoring the sparsity invariant in work.
-                np.multiply(inner, self._modulation_rows[hop], out=inner)
-                work[:, rows, :] = inner
+                np.multiply(inner, self._modulation_rows[hop], out=work)
         return inner[:, :, pad:pad + n]
 
     def _intensity_chunk(self, fields: np.ndarray) -> np.ndarray:
@@ -293,13 +286,16 @@ class InferenceEngine:
     def _logits_chunk(self, fields: np.ndarray) -> np.ndarray:
         intensity = self._intensity_chunk(fields)
         batch = intensity.shape[0]
-        flat = intensity.reshape(batch, self.n * self.n)
-        logits = flat @ self._readout
+        # One row-vector product per sample: a single batched GEMM
+        # would let BLAS block the rows differently per batch size, and
+        # a row's logits would depend on which rows share its chunk.
+        rows = intensity.reshape(batch, 1, self.n * self.n)
+        logits = (rows @ self._readout)[:, 0]
         if self._normalize:
             if self._total is None:
                 total = logits.sum(axis=-1, keepdims=True)
             else:
-                total = flat @ self._total
+                total = (rows @ self._total)[:, 0]
             logits = logits / (total + 1e-20) * self._gain
         return logits
 

@@ -40,6 +40,7 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..backend import set_workers
 from .faults import FaultPlan, ShardFaultState, kill_process
 from .server import ServeConfig, Server
 
@@ -55,8 +56,10 @@ def _replica_main(conn, artifact: str, config: ServeConfig,
     port, report it through the pipe, then park until told to stop.
 
     Runs in a spawned interpreter — everything it needs arrives
-    pickled through the ``Process`` args.
+    pickled through the ``Process`` args.  The replica runs one FFT
+    thread: the replicas, not the transforms, share the CPUs.
     """
+    set_workers(1)
     server = Server(artifact=artifact, config=config)
     server.warmup()
     plan = config.resolved_faults()

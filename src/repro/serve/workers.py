@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..backend import set_workers
 from ..obs.metrics import MetricsRegistry
 from ..utils.backoff import Backoff
 from .errors import DeadlineExceeded, NoHealthyShards, ShardCrash
@@ -92,9 +93,15 @@ _WORKER_FAULTS: Optional[ShardFaultState] = None
 
 def _init_process_shard(artifact: str, precision: str, engine_batch: int,
                         plan: Optional[FaultPlan], shard_index: int) -> None:
-    """Pool initializer: load the artifact and compile the shard engine."""
+    """Pool initializer: load the artifact and compile the shard engine.
+
+    The shard runs one FFT thread: the shards, not the transforms,
+    share the CPUs.
+    """
     global _WORKER_ENGINE, _WORKER_FAULTS
     from ..utils.serialization import load_model
+
+    set_workers(1)
 
     model = load_model(artifact)
     _WORKER_ENGINE = model.inference_engine(

@@ -72,6 +72,15 @@ class TestEncodeAmplitude:
         powers = np.sum(np.abs(field) ** 2, axis=(-2, -1))
         assert np.allclose(powers, 1.0)
 
+    @pytest.mark.parametrize("size", [12, 19, 40])
+    def test_each_sample_encodes_as_if_alone(self, size):
+        # A sample's normalized field does not depend on its batch.
+        imgs = np.random.default_rng(5).random((9, 28, 28))
+        batched = encode_amplitude(imgs, size)
+        for index, img in enumerate(imgs):
+            assert np.array_equal(encode_amplitude(img, size)[0],
+                                  batched[index])
+
     def test_unnormalized_preserves_values(self):
         img = np.full((28, 28), 0.5)
         field = encode_amplitude(img, 28, normalize=False)

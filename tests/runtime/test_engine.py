@@ -10,6 +10,7 @@ import pytest
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig, Trainer, accuracy, confusion_matrix
+from repro.donn.encoding import encode_amplitude
 from repro.donn.evaluation import deployed_accuracy
 from repro.data import DataLoader, make_dataset
 from repro.optics import CrosstalkModel
@@ -74,6 +75,27 @@ class TestEquivalence:
         # Chunking only regroups independent per-sample transforms; the
         # residual is BLAS blocking noise in the readout matmul.
         assert np.abs(whole - chunked).max() < 1e-12
+
+    @pytest.mark.parametrize("mode,n", [("standard", 12),
+                                        ("standard", 40),
+                                        ("differential", 40)])
+    def test_row_logits_do_not_depend_on_batch_composition(self, mode, n):
+        # A row's logits equal that row run alone, whatever the chunk
+        # size, the split or the neighbours it shares a call with: for
+        # raw images (the encoder) and for fields (the readout) alike.
+        model = DONN(DONNConfig.laptop(n=n, detector_mode=mode),
+                     rng=spawn_rng(0))
+        images = spawn_rng(1).random((67, 28, 28))
+        single = InferenceEngine(model, max_batch=1)
+        for inputs in (images, encode_amplitude(images, n)):
+            alone = np.stack([single.logits(inputs[i:i + 1])[0]
+                              for i in range(len(inputs))])
+            for max_batch in (1, 7, 64):
+                engine = InferenceEngine(model, max_batch=max_batch)
+                assert np.array_equal(engine.logits(inputs), alone)
+                splits = [engine.logits(inputs[start:stop]) for start, stop
+                          in ((0, 1), (1, 12), (12, 13), (13, 67))]
+                assert np.array_equal(np.concatenate(splits), alone)
 
     def test_predict_matches_model(self, model, images):
         engine = InferenceEngine(model)
