@@ -1,41 +1,36 @@
 #!/usr/bin/env python
-"""Snapshot the kernel, training, serving and backend benchmarks.
+"""Snapshot the serving, backend, sweep and physics-scenario benchmarks.
 
-Runs ``benchmarks/test_bench_kernels.py`` and
-``benchmarks/test_bench_training.py`` under pytest-benchmark and condenses
-the timings into ``BENCH_kernels.json`` / ``BENCH_training.json``; drives
-the ``repro.serve`` load generator directly (throughput benches are not
-repeated-timing micro-benchmarks) and writes ``BENCH_serving.json``; times
-the FFT backend dispatch layer directly (numpy vs scipy at workers=1/N
-kernel FFTs, double vs single fused train steps) and writes
-``BENCH_backend.json``; times the fault-tolerant sweep orchestrator
-(serial vs supervised-parallel vs kill-and-recover, with a byte-identity
-acceptance gate) and writes ``BENCH_sweep.json``; runs the four physics
-scenarios end to end (coherent-limit equality, quantization-gap and
-deployed-accuracy acceptance gates) and writes
-``BENCH_scenarios.json``::
+Each group is driven directly (none is a repeated-timing pytest
+micro-benchmark) and writes one ``BENCH_*.json``:
+
+* ``serving`` — the ``repro.serve`` load generator: batched vs
+  one-at-a-time throughput with p50/p99 latency, a process-shard kill and
+  a replica kill (byte-identity and recovery gates);
+* ``backend`` — the FFT dispatch layer: numpy vs scipy at workers=1/N
+  kernel FFTs, double vs single fused train steps;
+* ``sweep`` — the fault-tolerant sweep orchestrator: serial vs
+  supervised-parallel vs kill-and-recover, with a byte-identity gate;
+* ``scenarios`` — the four physics scenarios end to end
+  (coherent-limit equality, quantization-gap and deployed-accuracy
+  gates).
+
+::
 
     python benchmarks/run_benchmarks.py
-        [--only kernels|training|serving|backend|sweep|scenarios]
-        [--kernels-output BENCH_kernels.json]
-        [--training-output BENCH_training.json]
-        [--serving-output BENCH_serving.json]
-        [--backend-output BENCH_backend.json]
-        [--sweep-output BENCH_sweep.json]
-        [--scenarios-output BENCH_scenarios.json]
+        [--only serving|backend|sweep|scenarios]
+        [--serving-output BENCH_serving.json] [--serving-quick]
+        [--backend-output BENCH_backend.json] [--backend-quick]
+        [--sweep-output BENCH_sweep.json] [--sweep-quick]
+        [--scenarios-output BENCH_scenarios.json] [--scenarios-quick]
 
 Each snapshot carries a ``provenance`` block (git SHA, timestamp,
 python/numpy/scipy versions, platform) and a ``thresholds`` block of
 regression gates that ``repro bench-compare`` enforces against an older
-snapshot (non-zero exit on regression — the CI bench gate), and maps
-case names to timings plus a ``summary`` block of
-speedup ratios — engine-vs-autodiff inference for the kernel snapshot,
-fused-vs-composed training steps for the training snapshot, and
-batched-vs-one-at-a-time serving throughput (with p50/p99 latency per
-case) for the serving snapshot.  These are the numbers future PRs
-compare against (see ``docs/performance.md`` and ``docs/serving.md``).
-Exit status is pytest's, so a wired-up CI job fails when a benchmark's
-correctness assertion breaks.
+snapshot (non-zero exit on regression — the CI bench gate).  The exit
+status is non-zero when any group's acceptance gate fails.  End-to-end
+training and inference speed is measured by ``perfbench/`` instead
+(``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -118,110 +113,17 @@ _SCENARIO_THRESHOLDS = {
     "deploy_gap_reported": True,
 }
 
-#: Inference benches paired into "speedup of B over A" summary entries.
-_KERNEL_SPEEDUPS = {
-    "engine_vs_autodiff_graph": (
-        "test_bench_inference_autodiff_graph",
-        "test_bench_inference_engine_double",
-    ),
-    "engine_vs_autodiff_no_grad": (
-        "test_bench_inference_autodiff_no_grad",
-        "test_bench_inference_engine_double",
-    ),
-    "engine_single_vs_autodiff_no_grad": (
-        "test_bench_inference_autodiff_no_grad",
-        "test_bench_inference_engine_single",
-    ),
-    "engine_single_vs_engine_double": (
-        "test_bench_inference_engine_double",
-        "test_bench_inference_engine_single",
-    ),
-}
-
-#: Training-step benches: fused fast path vs the composed graph per size.
-_TRAINING_SPEEDUPS = {
-    f"train_fused_vs_composed_n{n}": (
-        f"test_bench_train_step_composed[{n}]",
-        f"test_bench_train_step_fused[{n}]",
-    )
-    for n in (32, 64, 96)
-}
-
-
-def run_bench_module(module: str, output: str, speedups: dict,
-                     pytest_args: list) -> int:
-    """Run one bench module under pytest-benchmark; write its snapshot."""
-    with tempfile.TemporaryDirectory() as tmp:
-        raw_path = os.path.join(tmp, "raw.json")
-        env = dict(os.environ)
-        src = os.path.join(REPO_ROOT, "src")
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        command = [
-            sys.executable, "-m", "pytest",
-            os.path.join(REPO_ROOT, "benchmarks", module),
-            "--benchmark-only", "-q",
-            f"--benchmark-json={raw_path}",
-        ] + pytest_args
-        status = subprocess.call(command, cwd=REPO_ROOT, env=env)
-        # pytest-benchmark leaves a 0-byte json when every test in the
-        # module was deselected (e.g. a -k filter aimed at the other
-        # module) — treat that the same as no file at all.
-        if not os.path.exists(raw_path) or os.path.getsize(raw_path) == 0:
-            print(f"no benchmark data produced for {module}; "
-                  "snapshot not written", file=sys.stderr)
-            return status or 1
-        with open(raw_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-
-    cases = {}
-    for bench in raw.get("benchmarks", []):
-        stats = bench["stats"]
-        cases[bench["name"]] = {
-            "mean_s": stats["mean"],
-            "min_s": stats["min"],
-            "stddev_s": stats["stddev"],
-            "rounds": stats["rounds"],
-        }
-
-    summary = {}
-    for label, (slow, fast) in speedups.items():
-        if slow in cases and fast in cases:
-            summary[label] = round(
-                cases[slow]["mean_s"] / cases[fast]["mean_s"], 3
-            )
-
-    snapshot = {
-        "machine_info": raw.get("machine_info", {}),
-        "datetime": raw.get("datetime"),
-        "provenance": provenance(),
-        "thresholds": {},  # no ratio gates; compare flags boolean flips
-        "cases": cases,
-        "summary": summary,
-    }
-    with open(output, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(cases)} cases to {output}")
-    for label, speedup in sorted(summary.items()):
-        print(f"  {label}: {speedup:.2f}x")
-    return status
-
 
 def run_serving_bench(output: str, quick: bool = False) -> int:
     """Drive the serving load generator and write its snapshot.
 
-    Unlike the pytest-benchmark groups this measures *throughput under
-    concurrent load*, so it calls :func:`repro.serve.benchmark_serving`
-    directly: the acceptance grid (n=20, double — the overhead-dominated
+    It measures *throughput under concurrent load* through
+    :func:`repro.serve.benchmark_serving`: the acceptance grid (n=20, double — the overhead-dominated
     regime micro-batching exists for) plus an n=40 single-precision
     context workload.  ``quick`` shrinks the request counts for CI
     plumbing checks (numbers are written but not meaningful).
     """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    import tempfile
-
     from repro.autodiff.rng import spawn_rng
     from repro.donn import DONN, DONNConfig
     from repro.serve import (
@@ -332,8 +234,7 @@ def run_serving_bench(output: str, quick: bool = False) -> int:
 
 
 def _timeit(fn, rounds: int, warmup: int = 1) -> dict:
-    """Best-effort repeated timing (mean/min/stddev), pytest-benchmark
-    snapshot-compatible."""
+    """Best-effort repeated timing: mean/min/stddev over ``rounds``."""
     import statistics
     import time
 
@@ -683,20 +584,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--only",
-        choices=("kernels", "training", "serving", "backend", "sweep",
-                 "scenarios"),
+        choices=("serving", "backend", "sweep", "scenarios"),
         default=None,
         help="snapshot just one bench group (default: all)",
-    )
-    parser.add_argument(
-        "--kernels-output", "--output", dest="kernels_output",
-        default=os.path.join(REPO_ROOT, "benchmarks", "BENCH_kernels.json"),
-        help="where to write the kernel snapshot",
-    )
-    parser.add_argument(
-        "--training-output",
-        default=os.path.join(REPO_ROOT, "benchmarks", "BENCH_training.json"),
-        help="where to write the training snapshot",
     )
     parser.add_argument(
         "--serving-output",
@@ -739,19 +629,9 @@ def main() -> int:
         help="1-epoch scenario bench for CI plumbing checks (the "
              "physics correctness gates stay on)",
     )
-    args, pytest_args = parser.parse_known_args()
+    args = parser.parse_args()
 
     status = 0
-    if args.only in (None, "kernels"):
-        status = run_bench_module(
-            "test_bench_kernels.py", args.kernels_output,
-            _KERNEL_SPEEDUPS, pytest_args,
-        ) or status
-    if args.only in (None, "training"):
-        status = run_bench_module(
-            "test_bench_training.py", args.training_output,
-            _TRAINING_SPEEDUPS, pytest_args,
-        ) or status
     if args.only in (None, "serving"):
         status = run_serving_bench(
             args.serving_output, quick=args.serving_quick

@@ -1,11 +1,28 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the ``repro`` library (sources under ``src/``).
 
-All project metadata lives in ``pyproject.toml`` (PEP 621); this file only
-enables legacy editable installs (``pip install -e . --no-use-pep517`` or
-``python setup.py develop``) on machines where pip's PEP 660 path is
-unavailable because ``wheel`` cannot be downloaded.
+This file holds all project metadata; the version is read from
+``src/repro/__init__.py`` so it has one home.  Install with
+``pip install .`` (or ``python setup.py develop`` for an editable
+install where pip's PEP 660 path is unavailable).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Physics-aware roughness optimization for diffractive "
+                "optical neural networks",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -25,7 +25,7 @@ from ..backend import dispatch as _backend
 from .ops import _build
 from .tensor import Tensor, as_tensor
 
-__all__ = ["fft2", "ifft2", "fftshift", "ifftshift"]
+__all__ = ["fft2", "ifft2"]
 
 _ADJOINT_NORM = {"backward": "forward", "ortho": "ortho", "forward": "backward"}
 
@@ -59,27 +59,5 @@ def ifft2(x, norm: str = "ortho") -> Tensor:
 
     def vjp(g):
         return _backend.fft2(np.asarray(g), norm=adjoint)
-
-    return _build(out, [(x, vjp)])
-
-
-def fftshift(x) -> Tensor:
-    """Differentiable zero-frequency-centering shift on the last two axes."""
-    x = as_tensor(x)
-    out = _backend.fftshift(x.data, axes=(-2, -1))
-
-    def vjp(g):
-        return _backend.ifftshift(np.asarray(g), axes=(-2, -1))
-
-    return _build(out, [(x, vjp)])
-
-
-def ifftshift(x) -> Tensor:
-    """Differentiable inverse of :func:`fftshift` on the last two axes."""
-    x = as_tensor(x)
-    out = _backend.ifftshift(x.data, axes=(-2, -1))
-
-    def vjp(g):
-        return _backend.fftshift(np.asarray(g), axes=(-2, -1))
 
     return _build(out, [(x, vjp)])

@@ -27,11 +27,9 @@ from .dispatch import (
     fft,
     fft2,
     fftfreq,
-    fftshift,
     get_workers,
     ifft,
     ifft2,
-    ifftshift,
     set_backend,
     set_workers,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "fft2",
     "ifft2",
     "fftfreq",
-    "fftshift",
-    "ifftshift",
     "Precision",
     "PRECISIONS",
     "resolve_precision",

@@ -44,8 +44,6 @@ __all__ = [
     "fft2",
     "ifft2",
     "fftfreq",
-    "fftshift",
-    "ifftshift",
 ]
 
 _BACKEND_ENV = "REPRO_BACKEND"
@@ -253,16 +251,6 @@ def ifft2(x, norm: Optional[str] = None, axes: Tuple[int, int] = (-2, -1),
 def fftfreq(n: int, d: float = 1.0) -> np.ndarray:
     """Sample frequencies in the unshifted FFT bin ordering."""
     return np.fft.fftfreq(n, d=d)
-
-
-def fftshift(x, axes=None) -> np.ndarray:
-    """Move the zero-frequency bin to the center of the given axes."""
-    return np.fft.fftshift(x, axes=axes)
-
-
-def ifftshift(x, axes=None) -> np.ndarray:
-    """Inverse of :func:`fftshift` (exact for odd lengths too)."""
-    return np.fft.ifftshift(x, axes=axes)
 
 
 def _init_from_env() -> None:

@@ -20,14 +20,6 @@ from .synthetic import (
     render_sample,
 )
 
-#: Mapping from the paper's dataset names to synthetic family names.
-PAPER_DATASET_TO_FAMILY = {
-    "MNIST": "digits",
-    "FMNIST": "fashion",
-    "KMNIST": "kuzushiji",
-    "EMNIST": "letters",
-}
-
 __all__ = [
     "glyphs",
     "prototypes",
@@ -37,5 +29,4 @@ __all__ = [
     "FAMILY_SPECS",
     "make_dataset",
     "render_sample",
-    "PAPER_DATASET_TO_FAMILY",
 ]

@@ -12,8 +12,7 @@ Primitives
 * ``line(p0, p1)``           — straight stroke;
 * ``curve(p0, p1, p2)``      — quadratic Bezier stroke;
 * ``arc(center, rx, ry, a0, a1)`` — elliptical arc stroke (radians);
-* ``polygon(vertices)``      — filled polygon (even-odd rule);
-* ``disk(center, rx, ry)``   — filled ellipse.
+* ``polygon(vertices)``      — filled polygon (even-odd rule).
 
 Strokes are rendered via a distance field to densely sampled path points;
 fills get a half-pixel soft edge.  Everything is pure numpy.
@@ -30,7 +29,6 @@ __all__ = [
     "curve",
     "arc",
     "polygon",
-    "disk",
     "transform_primitives",
     "rasterize",
 ]
@@ -59,11 +57,6 @@ def arc(center: Point, rx: float, ry: float, a0: float, a1: float) -> tuple:
 def polygon(vertices: Sequence[Point]) -> tuple:
     """Filled polygon (vertices in order, even-odd fill)."""
     return ("polygon", tuple(tuple(v) for v in vertices))
-
-
-def disk(center: Point, rx: float, ry: float) -> tuple:
-    """Filled axis-aligned ellipse."""
-    return ("disk", (tuple(center), float(rx), float(ry)))
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +130,6 @@ def transform_primitives(
             result.append(("polyline", warp(payload)))
         elif kind == "polygon":
             result.append(polygon(warp(payload)))
-        elif kind == "disk":
-            (c, rx, ry) = payload
-            boundary = _sample_path(arc(c, rx, ry, 0.0, 2 * np.pi))
-            result.append(polygon(warp(boundary[::4])))
         else:
             raise ValueError(f"unknown primitive kind {kind!r}")
     return result
@@ -183,14 +172,6 @@ def _render_polygon(vertices: np.ndarray, px: np.ndarray,
     return inside
 
 
-def _render_disk(center, rx, ry, px, py) -> np.ndarray:
-    cx, cy = center
-    size = px.shape[0]
-    level = ((px - cx) / rx) ** 2 + ((py - cy) / ry) ** 2
-    soft = 1.0 / size / min(rx, ry)
-    return np.clip((1.0 + soft - level) / (2 * soft), 0.0, 1.0)
-
-
 def rasterize(
     primitives: Sequence[tuple],
     size: int = 28,
@@ -215,9 +196,6 @@ def rasterize(
             layer = _render_stroke(np.asarray(payload), px, py, thickness)
         elif kind == "polygon":
             layer = _render_polygon(np.asarray(payload), px, py)
-        elif kind == "disk":
-            (center, rx, ry) = payload
-            layer = _render_disk(center, rx, ry, px, py)
         else:
             raise ValueError(f"unknown primitive kind {kind!r}")
         np.maximum(canvas, layer, out=canvas)

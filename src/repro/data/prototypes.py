@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .glyphs import arc, curve, disk, line, polygon
+from .glyphs import arc, curve, line, polygon
 
 __all__ = ["FAMILIES", "class_names", "prototype"]
 

@@ -17,7 +17,6 @@ from .evaluation import (
     accuracy,
     confusion_matrix,
     deployed_accuracy,
-    deployment_gap,
 )
 from .layers import DiffractiveLayer
 from .model import DONN, DONNConfig
@@ -47,5 +46,4 @@ __all__ = [
     "accuracy",
     "confusion_matrix",
     "deployed_accuracy",
-    "deployment_gap",
 ]

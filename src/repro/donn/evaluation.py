@@ -1,4 +1,4 @@
-"""Evaluation utilities: accuracy, confusion matrices, deployment gap.
+"""Evaluation utilities: accuracy, confusion matrices, deployed accuracy.
 
 All read-only scoring routes through the compiled
 :class:`~repro.runtime.InferenceEngine` rather than the autodiff graph;
@@ -22,7 +22,6 @@ __all__ = [
     "accuracy",
     "confusion_matrix",
     "deployed_accuracy",
-    "deployment_gap",
 ]
 
 ModelLike = Union[DONN, InferenceEngine]
@@ -128,19 +127,3 @@ def deployed_accuracy(
         precision=precision,
     )
     return accuracy(engine, data, batch_size)
-
-
-def deployment_gap(
-    model: DONN,
-    data: Union[DataLoader, Dataset],
-    crosstalk: CrosstalkModel,
-    phases: Optional[Sequence[np.ndarray]] = None,
-) -> float:
-    """Numerical-model accuracy minus deployed (crosstalk) accuracy.
-
-    The quantity the paper's roughness score is a proxy for: smoother
-    masks should show a smaller gap.
-    """
-    ideal = accuracy(model, data)
-    deployed = deployed_accuracy(model, data, crosstalk, phases=phases)
-    return ideal - deployed

@@ -2,28 +2,16 @@
 
 * :class:`SimulationGrid` — sampling geometry (pixels, pitch, wavelength);
 * :class:`Propagator` + transfer functions — differentiable free-space
-  diffraction (angular spectrum / Fresnel / Fraunhofer);
-* fabrication model — phase <-> 3D-printed thickness, quantization;
+  diffraction (angular spectrum / Fresnel);
+* fabrication model — phase <-> 3D-printed thickness;
 * :class:`CrosstalkModel` — the interpixel-crosstalk deployment simulator.
 """
 
 from . import constants
 from .crosstalk import CrosstalkModel
-from .fabrication import (
-    PrintedMask,
-    phase_to_thickness,
-    quantize_phase,
-    thickness_to_phase,
-    wrap_phase,
-)
+from .fabrication import phase_to_thickness, thickness_to_phase, wrap_phase
 from .grid import SimulationGrid
-from .propagation import (
-    Propagator,
-    angular_spectrum_tf,
-    fraunhofer_pattern,
-    fresnel_tf,
-    rayleigh_sommerfeld_ir,
-)
+from .propagation import Propagator, angular_spectrum_tf, fresnel_tf
 
 __all__ = [
     "constants",
@@ -31,12 +19,8 @@ __all__ = [
     "Propagator",
     "angular_spectrum_tf",
     "fresnel_tf",
-    "fraunhofer_pattern",
-    "rayleigh_sommerfeld_ir",
-    "PrintedMask",
     "phase_to_thickness",
     "thickness_to_phase",
     "wrap_phase",
-    "quantize_phase",
     "CrosstalkModel",
 ]

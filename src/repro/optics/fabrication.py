@@ -7,12 +7,10 @@ property of the *physical thickness profile*: adding 2 pi to a pixel's phase
 leaves the ideal optical function unchanged (Sec. III-D2) but adds one full
 wavelength-equivalent step of material, which changes the topography and
 therefore the roughness/crosstalk behaviour.  This module converts between
-the two representations and models device-level quantization.
+the two representations.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +20,6 @@ __all__ = [
     "phase_to_thickness",
     "thickness_to_phase",
     "wrap_phase",
-    "quantize_phase",
-    "PrintedMask",
 ]
 
 
@@ -62,60 +58,3 @@ def thickness_to_phase(
 def wrap_phase(phase: np.ndarray) -> np.ndarray:
     """Wrap phases into the canonical interval ``[0, 2 pi)``."""
     return np.mod(np.asarray(phase), constants.TWO_PI)
-
-
-def quantize_phase(phase: np.ndarray, levels: int) -> np.ndarray:
-    """Quantize wrapped phase onto ``levels`` evenly spaced control values.
-
-    Models the discrete control levels of real devices (SLM gray levels or
-    printer layer heights) the paper lists among deployment-gap sources.
-    Values are wrapped first, then rounded to the nearest multiple of
-    ``2 pi / levels`` (level ``levels`` wraps back to 0).
-    """
-    if levels < 2:
-        raise ValueError(f"need at least 2 quantization levels, got {levels}")
-    step = constants.TWO_PI / levels
-    quantized = np.round(wrap_phase(phase) / step) * step
-    return np.mod(quantized, constants.TWO_PI)
-
-
-@dataclass(frozen=True)
-class PrintedMask:
-    """A fabricated diffractive layer: thickness profile plus material data.
-
-    Bundles the physical description needed by the crosstalk simulator and
-    provides the round trip back to the phase domain.
-    """
-
-    thickness: np.ndarray
-    wavelength: float = constants.PAPER_WAVELENGTH
-    refractive_index: float = constants.PRINT_REFRACTIVE_INDEX
-
-    @classmethod
-    def from_phase(
-        cls,
-        phase: np.ndarray,
-        wavelength: float = constants.PAPER_WAVELENGTH,
-        refractive_index: float = constants.PRINT_REFRACTIVE_INDEX,
-    ) -> "PrintedMask":
-        """Fabricate a mask realizing ``phase`` (unwrapped, radians)."""
-        return cls(
-            thickness=phase_to_thickness(phase, wavelength, refractive_index),
-            wavelength=wavelength,
-            refractive_index=refractive_index,
-        )
-
-    def phase(self) -> np.ndarray:
-        """The unwrapped phase profile this mask imparts."""
-        return thickness_to_phase(
-            self.thickness, self.wavelength, self.refractive_index
-        )
-
-    @property
-    def max_step(self) -> float:
-        """Largest thickness step between horizontally/vertically adjacent
-        pixels (meters) — a quick printability indicator."""
-        t = self.thickness
-        steps_x = np.abs(np.diff(t, axis=-1)).max(initial=0.0)
-        steps_y = np.abs(np.diff(t, axis=-2)).max(initial=0.0)
-        return float(max(steps_x, steps_y))

@@ -6,15 +6,11 @@ impulse response ``h`` is evaluated spectrally::
 
     U1 = U0 * H(fx, fy, z)          (pointwise, in the Fourier domain)
 
-Three standard approximations of ``H`` are provided:
+Two standard approximations of ``H`` are provided:
 
 * **angular spectrum / Rayleigh-Sommerfeld transfer function** (exact for
   band-limited fields) — the default, as in mainstream DONN codebases;
-* **Fresnel transfer function** (paraxial approximation);
-* **Fraunhofer** far field (single FFT, reference only).
-
-A direct space-domain Rayleigh-Sommerfeld impulse-response kernel is also
-included purely as a cross-validation oracle for the tests.
+* **Fresnel transfer function** (paraxial approximation).
 
 :class:`Propagator` wraps a precomputed transfer function into a
 differentiable callable (pad -> FFT -> multiply -> iFFT -> crop) built on
@@ -23,22 +19,17 @@ differentiable callable (pad -> FFT -> multiply -> iFFT -> crop) built on
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..autodiff import Tensor, as_tensor
 from ..autodiff import fused as _fused
 from ..autodiff import ops
 from ..autodiff.fft import fft2, ifft2
-from ..backend import dispatch as _backend
 from .grid import SimulationGrid
 
 __all__ = [
     "angular_spectrum_tf",
     "fresnel_tf",
-    "fraunhofer_pattern",
-    "rayleigh_sommerfeld_ir",
     "Propagator",
 ]
 
@@ -93,42 +84,6 @@ def fresnel_tf(grid: SimulationGrid, distance: float) -> np.ndarray:
     return (np.exp(1j * k * distance) * np.exp(-1j * quadratic)).astype(
         np.complex128
     )
-
-
-def fraunhofer_pattern(field: np.ndarray, grid: SimulationGrid,
-                       distance: float) -> np.ndarray:
-    """Far-field (Fraunhofer) complex amplitude via a single FFT.
-
-    Returns the field sampled at pitch ``lambda z / (N dx)``; used as a
-    physical sanity reference, not in the DONN forward path (the published
-    system is in the Fresnel regime).
-    """
-    if distance <= 0:
-        raise ValueError("Fraunhofer pattern requires a positive distance")
-    k = grid.wavenumber
-    scaled = _backend.fftshift(
-        _backend.fft2(_backend.ifftshift(field), norm="ortho")
-    )
-    prefactor = np.exp(1j * k * distance) / (1j * grid.wavelength * distance)
-    return prefactor * scaled
-
-
-def rayleigh_sommerfeld_ir(grid: SimulationGrid, distance: float) -> np.ndarray:
-    """Sampled Rayleigh-Sommerfeld (type I) impulse response ``h(x, y; z)``.
-
-    ``h = (z / 2 pi) * exp(i k r) / r^2 * (1/r - i k)`` with
-    ``r = sqrt(x^2 + y^2 + z^2)``.  Returned centered on the grid; convolve
-    (times ``dx^2``) to propagate.  Tests use it as an independent oracle for
-    the transfer-function path.
-    """
-    if distance <= 0:
-        raise ValueError("impulse response defined for positive distance")
-    x, y = grid.coordinates()
-    r = np.sqrt(x ** 2 + y ** 2 + distance ** 2)
-    k = grid.wavenumber
-    return (
-        distance / (2.0 * np.pi) * np.exp(1j * k * r) / r ** 2 * (1.0 / r - 1j * k)
-    ).astype(np.complex128)
 
 
 class Propagator:

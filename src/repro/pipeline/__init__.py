@@ -20,11 +20,7 @@
 * :data:`PAPER_TABLES` — the published numbers for comparison.
 """
 
-from .ablations import (
-    compare_twopi_solvers,
-    init_ablation,
-    neighborhood_ablation,
-)
+from .ablations import compare_twopi_solvers
 from .config import PAPER_BLOCK_SIZES, PAPER_EPOCHS, ExperimentConfig
 from .events import EVENTS_FILE, EventLog, read_events
 from .experiment_io import (
@@ -112,8 +108,6 @@ __all__ = [
     "format_comparison",
     "format_scenarios",
     "compare_twopi_solvers",
-    "init_ablation",
-    "neighborhood_ablation",
     # Declarative experiment API
     "Stage",
     "StageRecord",

@@ -1,29 +1,21 @@
-"""Ablation studies of the design choices called out in DESIGN.md.
+"""Ablation of the 2-pi solver choice.
 
-These quantify the decisions the reproduction had to calibrate:
-
-* :func:`compare_twopi_solvers` — Gumbel-Softmax vs greedy coordinate
-  descent vs their combination on a given mask (solution quality of the
-  paper's CO solver against classical baselines);
-* :func:`init_ablation` — how the phase initialization regime changes the
-  trained mask's roughness and the 2-pi optimizer's leverage (DESIGN.md
-  §3a: high-biased init is what makes the 2-pi step pay off);
-* :func:`neighborhood_ablation` — 4- vs 8-neighbor roughness scoring.
+:func:`compare_twopi_solvers` — Gumbel-Softmax vs greedy coordinate
+descent vs their combination on a given mask (solution quality of the
+paper's CO solver against classical baselines).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..optics.fabrication import wrap_phase
-from ..roughness import overall_roughness, roughness
+from ..roughness import roughness
 from ..twopi import TwoPiConfig, TwoPiOptimizer, greedy_offsets
-from .config import ExperimentConfig
-from .recipes import RecipeResult, run_recipe
 
-__all__ = ["compare_twopi_solvers", "init_ablation", "neighborhood_ablation"]
+__all__ = ["compare_twopi_solvers"]
 
 
 def compare_twopi_solvers(
@@ -57,44 +49,4 @@ def compare_twopi_solvers(
         "greedy": greedy_score,
         "gumbel_softmax": gs_raw.roughness_after,
         "gumbel_plus_greedy": gs_polished.roughness_after,
-    }
-
-
-def init_ablation(
-    config: ExperimentConfig,
-    inits: Sequence[str] = ("high", "small", "uniform"),
-    recipe: str = "ours_b",
-) -> List[Dict[str, float]]:
-    """Re-run ``recipe`` under different phase initialization regimes.
-
-    ``recipe`` may be any registered recipe name (see
-    :func:`~repro.pipeline.registry.register_recipe`), not just the
-    paper rows.  Shows why ``"high"`` is the default: with mid-range or
-    uniform init the trained surroundings of pruned blocks straddle pi
-    and the 2-pi step has (provably) nothing to fix.
-    """
-    from dataclasses import replace
-
-    rows: List[Dict[str, float]] = []
-    for init in inits:
-        varied = config.with_overrides(
-            system=replace(config.system, phase_init=init)
-        )
-        result: RecipeResult = run_recipe(recipe, varied)
-        rows.append({
-            "init": init,
-            "accuracy": result.accuracy,
-            "roughness_before": result.roughness_before,
-            "roughness_after": result.roughness_after,
-            "twopi_reduction": result.twopi_reduction,
-        })
-    return rows
-
-
-def neighborhood_ablation(phases: Sequence[np.ndarray]) -> Dict[str, float]:
-    """Overall roughness under the 4- and 8-neighbor definitions (Eq. 3
-    allows both)."""
-    return {
-        "k4": overall_roughness(phases, k=4),
-        "k8": overall_roughness(phases, k=8),
     }

@@ -17,9 +17,7 @@ from .kernel_cache import (
     cache_info,
     clear_kernel_cache,
     get_kernel,
-    get_transfer_function,
     kernel_for_dtype,
-    set_cache_limit,
 )
 
 __all__ = [
@@ -28,9 +26,7 @@ __all__ = [
     "KernelKey",
     "PropagationKernel",
     "get_kernel",
-    "get_transfer_function",
     "kernel_for_dtype",
     "cache_info",
     "clear_kernel_cache",
-    "set_cache_limit",
 ]

@@ -41,11 +41,9 @@ __all__ = [
     "KernelKey",
     "PropagationKernel",
     "get_kernel",
-    "get_transfer_function",
     "kernel_for_dtype",
     "cache_info",
     "clear_kernel_cache",
-    "set_cache_limit",
 ]
 
 _METHODS = ("angular_spectrum", "fresnel")
@@ -61,7 +59,8 @@ _lock = threading.RLock()
 _cache: "OrderedDict[KernelKey, PropagationKernel]" = OrderedDict()
 _hits = 0
 _misses = 0
-_max_entries = 64
+#: Resident kernels beyond this are evicted least-recently-used first.
+_MAX_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -217,20 +216,9 @@ def get_kernel(
         if existing is not None:
             return existing
         _cache[key] = kernel
-        while len(_cache) > _max_entries:
+        while len(_cache) > _MAX_ENTRIES:
             _cache.popitem(last=False)
     return kernel
-
-
-def get_transfer_function(
-    grid: SimulationGrid,
-    distance: float,
-    method: str = "angular_spectrum",
-    pad_factor: int = 2,
-    band_limit: bool = True,
-) -> np.ndarray:
-    """The shared (read-only) padded-grid ``H`` for a geometry."""
-    return get_kernel(grid, distance, method, pad_factor, band_limit).h
 
 
 def kernel_for_dtype(kernel: PropagationKernel, dtype) -> PropagationKernel:
@@ -258,7 +246,7 @@ def cache_info() -> Dict[str, int]:
             "hits": _hits,
             "misses": _misses,
             "size": len(_cache),
-            "max_entries": _max_entries,
+            "max_entries": _MAX_ENTRIES,
         }
 
 
@@ -269,14 +257,3 @@ def clear_kernel_cache() -> None:
         _cache.clear()
         _hits = 0
         _misses = 0
-
-
-def set_cache_limit(max_entries: int) -> None:
-    """Bound the number of resident kernels (evicts LRU beyond it)."""
-    global _max_entries
-    if max_entries < 1:
-        raise ValueError(f"cache limit must be >= 1, got {max_entries}")
-    with _lock:
-        _max_entries = int(max_entries)
-        while len(_cache) > _max_entries:
-            _cache.popitem(last=False)

@@ -46,7 +46,7 @@ from .bench import (
     verified_load,
     write_snapshot,
 )
-from .cluster import REPLICA_STATES, ReplicaSet
+from .cluster import ReplicaSet
 from .errors import (
     DeadlineExceeded,
     Draining,
@@ -75,7 +75,6 @@ __all__ = [
     "ResultCache",
     "HTTPFrontend",
     "ReplicaSet",
-    "REPLICA_STATES",
     "Router",
     "RouterConfig",
     "MEMBER_STATES",

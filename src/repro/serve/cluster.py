@@ -44,10 +44,7 @@ from ..backend import set_workers
 from .faults import FaultPlan, ShardFaultState, kill_process
 from .server import ServeConfig, Server
 
-__all__ = ["ReplicaSet", "REPLICA_STATES"]
-
-#: Supervision states of one replica process.
-REPLICA_STATES = ("starting", "ok", "respawning", "quarantined", "stopped")
+__all__ = ["ReplicaSet"]
 
 
 def _replica_main(conn, artifact: str, config: ServeConfig,
@@ -103,6 +100,7 @@ class _Replica:
     def __init__(self, index: int, replica_id: str) -> None:
         self.index = index
         self.id = replica_id
+        # starting | ok | respawning | quarantined | stopped
         self.state = "starting"
         self.restarts = 0
         self.proc = None

@@ -9,7 +9,6 @@
 
 from .blocks import block_l2_norms, check_blocking, expand_block_mask
 from .methods import (
-    achieved_sparsity,
     bank_balanced_sparsity_mask,
     block_sparsity_mask,
     unstructured_sparsity_mask,
@@ -20,7 +19,6 @@ __all__ = [
     "block_l2_norms",
     "check_blocking",
     "expand_block_mask",
-    "achieved_sparsity",
     "block_sparsity_mask",
     "unstructured_sparsity_mask",
     "bank_balanced_sparsity_mask",

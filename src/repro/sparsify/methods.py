@@ -22,7 +22,6 @@ __all__ = [
     "block_sparsity_mask",
     "unstructured_sparsity_mask",
     "bank_balanced_sparsity_mask",
-    "achieved_sparsity",
 ]
 
 
@@ -92,9 +91,3 @@ def bank_balanced_sparsity_mask(
         np.put_along_axis(bank_mask, kill, 0.0, axis=-1)
         mask = bank_mask.reshape(rows, cols)
     return mask
-
-
-def achieved_sparsity(mask: np.ndarray) -> float:
-    """Fraction of zeroed entries in a keep-mask."""
-    mask = np.asarray(mask)
-    return float(1.0 - mask.sum() / mask.size)

@@ -6,7 +6,6 @@ import pytest
 from repro.data.glyphs import (
     arc,
     curve,
-    disk,
     line,
     polygon,
     rasterize,
@@ -100,13 +99,6 @@ class TestFilledPrimitives:
         assert img[10, 10] == 1.0  # in the L body
         assert img[28, 28] == 0.0  # in the notch
 
-    def test_disk_fill(self):
-        img = rasterize([disk((0.5, 0.5), 0.3, 0.2)], size=40)
-        assert img[20, 20] == 1.0
-        assert img[20, 5] == 0.0
-        # Ellipse is wider (rx) than tall (ry).
-        assert img[20, :].sum() > img[:, 20].sum()
-
 
 class TestTransform:
     def test_identity_transform_is_noop(self):
@@ -118,7 +110,7 @@ class TestTransform:
         assert np.allclose(a, b)
 
     def test_translation_moves_ink(self):
-        prims = [disk((0.4, 0.4), 0.1, 0.1)]
+        prims = [polygon([(0.3, 0.3), (0.5, 0.3), (0.5, 0.5), (0.3, 0.5)])]
         moved = transform_primitives(prims, np.eye(2), translation=(0.2, 0.2))
         img = rasterize(moved, size=40)
         assert img[24, 24] == 1.0  # center now at (0.6, 0.6)

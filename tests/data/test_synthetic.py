@@ -7,7 +7,6 @@ from repro.data import (
     DataLoader,
     Dataset,
     FAMILY_SPECS,
-    PAPER_DATASET_TO_FAMILY,
     make_dataset,
     render_sample,
 )
@@ -46,11 +45,6 @@ class TestPrototypes:
             prototype("klingon", 0)
         with pytest.raises(KeyError):
             class_names("klingon")
-
-    def test_paper_mapping_covers_all_families(self):
-        assert set(PAPER_DATASET_TO_FAMILY.values()) == set(FAMILIES)
-        assert set(PAPER_DATASET_TO_FAMILY) == {"MNIST", "FMNIST", "KMNIST",
-                                                "EMNIST"}
 
 
 class TestMakeDataset:

@@ -15,7 +15,6 @@ from repro.donn import (
     accuracy,
     confusion_matrix,
     deployed_accuracy,
-    deployment_gap,
 )
 from repro.optics import CrosstalkModel
 
@@ -178,12 +177,6 @@ class TestEvaluation:
         deployed = deployed_accuracy(model, test,
                                      CrosstalkModel(strength=0.0))
         assert deployed == pytest.approx(ideal)
-
-    def test_deployment_gap_sign_convention(self):
-        _, test = make_dataset("digits", 10, 20, seed=10)
-        model = small_model()
-        gap = deployment_gap(model, test, CrosstalkModel(strength=0.0))
-        assert gap == pytest.approx(0.0)
 
     def test_deployed_accuracy_with_explicit_phases(self):
         _, test = make_dataset("digits", 10, 20, seed=11)

@@ -14,7 +14,8 @@ from repro.autodiff import Adam
 from repro.autodiff.rng import seed_all, spawn_rng
 from repro.data import DataLoader, make_dataset
 from repro.donn import DONN, DONNConfig, Trainer, accuracy, deployed_accuracy
-from repro.optics import CrosstalkModel, quantize_phase
+from repro.optics import CrosstalkModel, wrap_phase
+from repro.optics.constants import TWO_PI
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +32,11 @@ def trained_setup():
 
 
 def quantized_accuracy(model, test, levels: int) -> float:
+    """Accuracy with each phase rounded to ``levels`` control values."""
+    step = TWO_PI / levels
     modulations = [
-        np.exp(1j * quantize_phase(phase, levels))
+        np.exp(1j * np.mod(np.round(wrap_phase(phase) / step) * step,
+                           TWO_PI))
         for phase in model.phases()
     ]
     logits = model.forward_with_modulations(test.images, modulations).data

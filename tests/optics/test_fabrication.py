@@ -1,15 +1,9 @@
-"""Tests of the fabrication model (phase <-> thickness, quantization)."""
+"""Tests of the fabrication model (phase <-> thickness, wrapping)."""
 
 import numpy as np
 import pytest
 
-from repro.optics import (
-    PrintedMask,
-    phase_to_thickness,
-    quantize_phase,
-    thickness_to_phase,
-    wrap_phase,
-)
+from repro.optics import phase_to_thickness, thickness_to_phase, wrap_phase
 from repro.optics.constants import TWO_PI
 
 
@@ -52,48 +46,3 @@ class TestWrapPhase:
 
     def test_two_pi_multiples_map_to_zero(self):
         assert np.allclose(wrap_phase(np.array([0.0, TWO_PI, 2 * TWO_PI])), 0.0)
-
-
-class TestQuantizePhase:
-    def test_level_count(self):
-        rng = np.random.default_rng(2)
-        phase = rng.uniform(0, TWO_PI, 10000)
-        q = quantize_phase(phase, levels=8)
-        assert len(np.unique(np.round(q, 12))) <= 8
-
-    def test_values_on_lattice(self):
-        rng = np.random.default_rng(3)
-        q = quantize_phase(rng.uniform(0, TWO_PI, 100), levels=16)
-        steps = q / (TWO_PI / 16)
-        assert np.allclose(steps, np.round(steps))
-
-    def test_error_bounded_by_half_step(self):
-        rng = np.random.default_rng(4)
-        phase = rng.uniform(0, TWO_PI, 1000)
-        q = quantize_phase(phase, levels=32)
-        err = np.abs(np.exp(1j * q) - np.exp(1j * phase))
-        # Chord length of half a quantization step.
-        assert err.max() <= 2 * np.sin(TWO_PI / 32 / 2) + 1e-12
-
-    def test_rejects_single_level(self):
-        with pytest.raises(ValueError):
-            quantize_phase(np.ones(3), levels=1)
-
-
-class TestPrintedMask:
-    def test_from_phase_roundtrip(self):
-        rng = np.random.default_rng(5)
-        phase = rng.uniform(0, 4 * np.pi, (5, 5))
-        mask = PrintedMask.from_phase(phase)
-        assert np.allclose(mask.phase(), phase)
-
-    def test_max_step_detects_cliff(self):
-        phase = np.zeros((4, 4))
-        phase[2:, :] = TWO_PI  # one sharp wall
-        mask = PrintedMask.from_phase(phase, wavelength=500e-9,
-                                      refractive_index=1.5)
-        assert mask.max_step == pytest.approx(1000e-9)
-
-    def test_max_step_zero_for_flat_mask(self):
-        mask = PrintedMask.from_phase(np.full((3, 3), 1.234))
-        assert mask.max_step == 0.0

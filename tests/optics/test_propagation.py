@@ -5,14 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, gradcheck, ops
 from repro.autodiff.rng import spawn_rng
-from repro.optics import (
-    Propagator,
-    SimulationGrid,
-    angular_spectrum_tf,
-    fraunhofer_pattern,
-    fresnel_tf,
-    rayleigh_sommerfeld_ir,
-)
+from repro.optics import Propagator, SimulationGrid, angular_spectrum_tf, fresnel_tf
 
 
 def make_grid(n=32, pitch=10e-6, wavelength=532e-9):
@@ -203,45 +196,3 @@ class TestPropagatorInterface:
         )
         gradcheck(lambda: ops.sum(ops.abs2(prop(field))), [field],
                   rtol=1e-3, atol=1e-6)
-
-
-class TestFraunhofer:
-    def test_point_spread_of_uniform_aperture_is_sinc_like(self):
-        grid = make_grid(n=64, pitch=10e-6)
-        aperture = np.ones((64, 64), dtype=complex)
-        far = fraunhofer_pattern(aperture, grid, distance=1.0)
-        intensity = np.abs(far) ** 2
-        center = np.unravel_index(np.argmax(intensity), intensity.shape)
-        assert center == (32, 32)
-
-    def test_rejects_nonpositive_distance(self):
-        grid = make_grid()
-        with pytest.raises(ValueError):
-            fraunhofer_pattern(np.ones((32, 32)), grid, 0.0)
-
-
-class TestRayleighSommerfeldKernel:
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            rayleigh_sommerfeld_ir(make_grid(), -1.0)
-
-    def test_on_axis_value_matches_formula(self):
-        grid = make_grid(n=33, pitch=10e-6)  # odd: center pixel at r = z
-        z = 1e-3
-        h = rayleigh_sommerfeld_ir(grid, z)
-        k = grid.wavenumber
-        expected = z / (2 * np.pi) * np.exp(1j * k * z) / z ** 2 * (1 / z - 1j * k)
-        assert h[16, 16] == pytest.approx(expected, rel=1e-12)
-
-    def test_magnitude_decays_radially(self):
-        grid = make_grid(n=33, pitch=10e-6)
-        h = np.abs(rayleigh_sommerfeld_ir(grid, 1e-3))
-        center = h[16, 16]
-        assert h[16, 0] < center
-        assert h[0, 0] < h[16, 0]
-
-    def test_radial_symmetry(self):
-        grid = make_grid(n=33, pitch=10e-6)
-        h = np.abs(rayleigh_sommerfeld_ir(grid, 5e-4))
-        assert np.allclose(h, h.T)
-        assert np.allclose(h, np.flip(h, axis=0))

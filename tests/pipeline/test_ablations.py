@@ -1,15 +1,8 @@
 """Tests of the ablation harness."""
 
 import numpy as np
-import pytest
 
-from repro.pipeline import (
-    ExperimentConfig,
-    compare_twopi_solvers,
-    init_ablation,
-    neighborhood_ablation,
-)
-from repro.roughness import roughness
+from repro.pipeline import compare_twopi_solvers
 
 
 def interior_block_mask(n=12):
@@ -42,34 +35,3 @@ class TestCompareTwoPiSolvers:
         comparison = compare_twopi_solvers(interior_block_mask(),
                                            block_size=4, iterations=120)
         assert comparison["gumbel_plus_greedy"] < 0.8 * comparison["before"]
-
-
-class TestInitAblation:
-    def test_rows_and_fields(self):
-        from dataclasses import replace
-
-        cfg = ExperimentConfig.laptop(
-            "digits", n=20, n_train=60, n_test=30, batch_size=30,
-            baseline_epochs=1,
-        )
-        cfg = cfg.with_overrides(
-            slr=replace(cfg.slr, outer_iterations=1, finetune_epochs=0),
-            twopi=replace(cfg.twopi, iterations=15),
-        )
-        rows = init_ablation(cfg, inits=("high", "small"))
-        assert [r["init"] for r in rows] == ["high", "small"]
-        for row in rows:
-            assert 0 <= row["accuracy"] <= 1
-            assert row["roughness_after"] <= row["roughness_before"] + 1e-9
-
-
-class TestNeighborhoodAblation:
-    def test_both_definitions_reported(self):
-        rng = np.random.default_rng(0)
-        phases = [rng.uniform(0, 2 * np.pi, (8, 8)) for _ in range(2)]
-        out = neighborhood_ablation(phases)
-        assert out["k4"] == pytest.approx(
-            np.mean([roughness(p, k=4) for p in phases]))
-        assert out["k8"] == pytest.approx(
-            np.mean([roughness(p, k=8) for p in phases]))
-        assert out["k4"] != pytest.approx(out["k8"])

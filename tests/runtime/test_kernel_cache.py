@@ -7,13 +7,7 @@ from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
 from repro.optics import Propagator, SimulationGrid
 from repro.optics.propagation import angular_spectrum_tf
-from repro.runtime import (
-    cache_info,
-    clear_kernel_cache,
-    get_kernel,
-    get_transfer_function,
-    set_cache_limit,
-)
+from repro.runtime import cache_info, clear_kernel_cache, get_kernel, kernel_cache
 
 
 def make_grid(n=16):
@@ -59,10 +53,6 @@ class TestCacheBehavior:
         with pytest.raises(ValueError):
             kernel.h[0, 0] = 0.0
 
-    def test_transfer_function_helper_returns_h(self):
-        kernel = get_kernel(make_grid(), 1e-3)
-        assert get_transfer_function(make_grid(), 1e-3) is kernel.h
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             get_kernel(make_grid(), 1e-3, method="magic")
@@ -76,23 +66,16 @@ class TestCacheBehavior:
             "max_entries": info["max_entries"],
         }
 
-    def test_lru_eviction_respects_limit(self):
+    def test_lru_eviction_respects_limit(self, monkeypatch):
         clear_kernel_cache()
         grid = make_grid()
-        try:
-            set_cache_limit(2)
-            get_kernel(grid, 1e-3)
-            get_kernel(grid, 2e-3)
-            get_kernel(grid, 3e-3)  # evicts the 1e-3 entry
-            assert cache_info()["size"] == 2
-            get_kernel(grid, 1e-3)
-            assert cache_info()["misses"] == 4
-        finally:
-            set_cache_limit(64)
-
-    def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError):
-            set_cache_limit(0)
+        monkeypatch.setattr(kernel_cache, "_MAX_ENTRIES", 2)
+        get_kernel(grid, 1e-3)
+        get_kernel(grid, 2e-3)
+        get_kernel(grid, 3e-3)  # evicts the 1e-3 entry
+        assert cache_info()["size"] == 2
+        get_kernel(grid, 1e-3)
+        assert cache_info()["misses"] == 4
 
 
 class TestPropagatorSharing:
