@@ -317,6 +317,14 @@ class TwoPiStage(Stage):
             flipped_fraction=float(
                 np.mean([s.flipped_fraction for s in solutions])
             ),
+            # Where the stage's time went, summed over layers: the
+            # polish sweeps until no flip helps, so its cost moves with
+            # the trained masks.
+            gumbel_s=float(sum(s.history["gumbel_s"][0] for s in solutions)),
+            polish_s=float(sum(s.history["polish_s"][0] for s in solutions)),
+            polish_sweeps=int(
+                sum(s.history["polish_sweeps"][0] for s in solutions)
+            ),
         )
         return ctx
 

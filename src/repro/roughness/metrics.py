@@ -30,7 +30,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, as_tensor
-from ..autodiff import ops
+from ..autodiff import fused, ops
+from ..autodiff.ops import _build
 
 __all__ = [
     "neighbor_offsets",
@@ -81,10 +82,21 @@ def roughness_tensor(phase, k: int = 8, eps: float = 1e-12) -> Tensor:
     ``eps`` stabilizes the square root's gradient on perfectly flat
     neighborhoods (e.g. inside zeroed sparsity blocks), where the exact
     subgradient is unbounded.
+
+    Like :func:`repro.autodiff.fused.diffmod`, the forward runs as one
+    NumPy pass recording a single graph node with a hand-written
+    backward; the composed per-op graph (``pad2d``, ``k`` shift/diff/
+    square branches, ``sqrt``, ``sum``) is the test-only oracle reached
+    through :class:`~repro.autodiff.fused.fused_disabled`.  The backward
+    replays the composed graph's accumulation order, so loss and
+    gradient are bit-identical to it whenever ``phase`` has no other
+    consumer in the graph (see :func:`_fused_roughness`).
     """
     phase = as_tensor(phase)
     if phase.ndim != 2:
         raise ValueError(f"phase mask must be 2-D, got shape {phase.shape}")
+    if fused.fused_enabled():
+        return _fused_roughness(phase, k, eps)
     n, m = phase.shape
     padded = ops.pad2d(phase, 1)
     total = None
@@ -95,6 +107,49 @@ def roughness_tensor(phase, k: int = 8, eps: float = 1e-12) -> Tensor:
         total = sq if total is None else total + sq
     per_pixel = ops.sqrt(total + eps) * (1.0 / k)
     return ops.sum(per_pixel) * 0.5
+
+
+def _fused_roughness(phase: Tensor, k: int, eps: float) -> Tensor:
+    """:func:`roughness_tensor` as one graph node.
+
+    Forward: ``d_i = shift_i(pad(x)) - x``, ``q = sqrt(sum_i d_i^2 +
+    eps)``, ``R = sum(q / k) / 2``.  Backward, in the order the composed
+    graph's topological walk (``diff_0, shift_0, ..., diff_{k-1},
+    shift_{k-1}, pad, x``) accumulates it:
+
+    1. ``g_a = ((g * 0.5) * (1/k)) * (0.5 / q)``;
+    2. ``gd_i = g_a * d_i + g_a * d_i`` (the square's two edges);
+    3. the ``gd_i`` are added, in order, into one zero padded plane;
+    4. ``grad_x = ((-gd_0 - gd_1) - ... - gd_{k-1}) + crop(plane)``.
+
+    When ``x`` also feeds other nodes, the composed graph interleaves
+    their contributions into that sum, so the gradient then agrees with
+    the composed one to rounding only.
+    """
+    n, m = phase.shape
+    x = phase.data
+    padded = np.pad(x, 1)
+    windows = [(slice(1 + dy, 1 + dy + n), slice(1 + dx, 1 + dx + m))
+               for dy, dx in neighbor_offsets(k)]
+    diffs = [padded[window] - x for window in windows]
+    total = diffs[0] * diffs[0]
+    for diff in diffs[1:]:
+        total = total + diff * diff
+    q = np.sqrt(total + eps)
+    out = np.sum(q * (1.0 / k)) * 0.5
+
+    def vjp(g):
+        g_a = ((g * 0.5) * (1.0 / k)) * (0.5 / q)
+        plane = np.zeros(padded.shape, dtype=g_a.dtype)
+        grad = None
+        for window, diff in zip(windows, diffs):
+            half = g_a * diff
+            gd = half + half
+            plane[window] += gd
+            grad = -gd if grad is None else grad - gd
+        return grad + plane[1:-1, 1:-1]
+
+    return _build(out, [(phase, vjp)])
 
 
 def overall_roughness(phases: Sequence[np.ndarray], k: int = 8) -> float:

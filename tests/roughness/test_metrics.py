@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import Tensor, gradcheck, ops
+from repro.autodiff import Tensor, fused, gradcheck, ops
 from repro.autodiff.rng import spawn_rng
 from repro.roughness import (
     IntraBlockRegularizer,
@@ -136,6 +136,104 @@ class TestRoughnessTensor:
             roughness_tensor(mask).backward()
             optimizer.step()
         assert roughness(mask.data) < 0.5 * start
+
+
+def composed_roughness_tensor(phase, k=8, eps=1e-12):
+    """The composed per-op roughness graph (the fused node's oracle)."""
+    with fused.fused_disabled():
+        return roughness_tensor(phase, k=k, eps=eps)
+
+
+def loss_and_grad(fn, data, k):
+    phase = Tensor(data.copy(), requires_grad=True)
+    loss = fn(phase, k=k)
+    (loss * 0.37).backward()
+    return loss.data.tobytes(), phase.grad.tobytes()
+
+
+class TestFusedRoughnessNode:
+    #: Relative gradient tolerance when the node's input also feeds
+    #: ``diffmod``: the composed graph then interleaves the two
+    #: consumers' contributions into one sum, so only the rounding of
+    #: that sum (a few ulp) may differ.
+    SHARED_INPUT_RTOL = 1e-13
+
+    def test_records_one_node(self):
+        phase = Tensor(spawn_rng(20).random((6, 9)), requires_grad=True)
+        loss = roughness_tensor(phase)
+        assert [parent for parent, _ in loss._parents] == [phase]
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_gradcheck_non_square(self, k):
+        rng = spawn_rng(21)
+        mask = Tensor(rng.random((5, 7)) + 0.5, requires_grad=True)
+        gradcheck(lambda: roughness_tensor(mask, k=k), [mask], rtol=1e-3)
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_bit_identical_to_composed_graph(self, k):
+        rng = spawn_rng(22 + k)
+        for case in range(40):
+            n, m = rng.integers(1, 45, size=2)
+            data = rng.uniform(0, 2 * np.pi, (n, m))
+            if case % 2:
+                data[: n // 2] = 0.0  # a zeroed sparsity region
+            assert loss_and_grad(roughness_tensor, data, k) == \
+                loss_and_grad(composed_roughness_tensor, data, k)
+
+    def trainer_step(self, monkeypatch, composed, **config):
+        from repro.data import DataLoader, make_dataset
+        from repro.donn import DONN, DONNConfig, Trainer
+        from repro.roughness import regularizers
+
+        if composed:
+            monkeypatch.setattr(regularizers, "roughness_tensor",
+                                composed_roughness_tensor)
+        model = DONN(DONNConfig.laptop(n=16, num_layers=2,
+                                       detector_region_size=2, **config),
+                     rng=spawn_rng(23))
+        if config.get("parametrization", "sigmoid") == "sigmoid":
+            mask = np.ones((16, 16))
+            mask[4:8, 8:12] = 0.0
+            model.apply_sparsity_masks([mask, mask])
+        train, _ = make_dataset("digits", 12, 1, seed=0)
+        trainer = Trainer(model, regularizers=[RoughnessRegularizer(p=0.5)])
+        trainer.train_epoch(DataLoader(train, batch_size=12, shuffle=False))
+        return [p.data.copy() for p in model.parameters()]
+
+    def test_trainer_step_bit_identical(self, monkeypatch):
+        fused_params = self.trainer_step(monkeypatch, composed=False)
+        composed_params = self.trainer_step(monkeypatch, composed=True)
+        for a, b in zip(fused_params, composed_params):
+            assert a.tobytes() == b.tobytes()
+
+    def test_shared_input_within_tolerance(self):
+        """Under ``parametrization="direct"`` without a mask,
+        ``effective_phase()`` is the layer parameter itself, which
+        ``diffmod`` also consumes: the gradients agree to
+        ``SHARED_INPUT_RTOL`` (relative to the largest entry), not bit
+        for bit."""
+        from repro.data import make_dataset
+        from repro.donn import DONN, DONNConfig, Trainer
+
+        train, _ = make_dataset("digits", 12, 1, seed=0)
+        grads = []
+        for fn in (roughness_tensor, composed_roughness_tensor):
+            model = DONN(DONNConfig.laptop(n=16, num_layers=2,
+                                           detector_region_size=2,
+                                           parametrization="direct"),
+                         rng=spawn_rng(24))
+            layer = model.layers[0]
+            assert layer.effective_phase() is layer.phase
+            trainer = Trainer(model)
+            total, _, _ = trainer.loss(train.images, train.labels)
+            for each in model.layers:
+                total = total + fn(each.effective_phase()) * 0.5
+            total.backward()
+            grads.append([p.grad.copy() for p in model.parameters()])
+        for a, b in zip(*grads):
+            scale = np.abs(b).max()
+            np.testing.assert_allclose(
+                a, b, rtol=0, atol=self.SHARED_INPUT_RTOL * scale)
 
 
 class TestIntraBlock:
