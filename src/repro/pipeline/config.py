@@ -91,6 +91,14 @@ class ExperimentConfig:
                 f"unknown family {self.family!r}; expected one of "
                 f"{sorted(_FAMILY_TO_PAPER)}"
             )
+        if self.twopi.k != self.roughness_k:
+            # The table divides the score stage's roughness_k "before"
+            # into the 2-pi stage's twopi.k "after".
+            raise ValueError(
+                f"twopi.k={self.twopi.k} must equal roughness_k="
+                f"{self.roughness_k}: the 2-pi reduction compares "
+                f"roughness under one neighbourhood"
+            )
         if self.system.n % self.slr.block_size:
             raise ValueError(
                 f"block size {self.slr.block_size} does not divide the "

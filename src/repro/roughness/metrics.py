@@ -76,7 +76,11 @@ def roughness(phase: np.ndarray, k: int = 8) -> float:
     return float(roughness_map(phase, k).sum() / 2.0)
 
 
-def roughness_tensor(phase, k: int = 8, eps: float = 1e-12) -> Tensor:
+#: Default ``eps`` of the differentiable roughness (see :func:`roughness_tensor`).
+_EPS = 1e-12
+
+
+def roughness_tensor(phase, k: int = 8, eps: float = _EPS) -> Tensor:
     """Differentiable ``R(W)`` for training (Eq. 5 regularization term).
 
     ``eps`` stabilizes the square root's gradient on perfectly flat
@@ -90,13 +94,14 @@ def roughness_tensor(phase, k: int = 8, eps: float = 1e-12) -> Tensor:
     through :class:`~repro.autodiff.fused.fused_disabled`.  The backward
     replays the composed graph's accumulation order, so loss and
     gradient are bit-identical to it whenever ``phase`` has no other
-    consumer in the graph (see :func:`_fused_roughness`).
+    consumer in the graph (see :func:`_roughness_parts`).
     """
     phase = as_tensor(phase)
     if phase.ndim != 2:
         raise ValueError(f"phase mask must be 2-D, got shape {phase.shape}")
     if fused.fused_enabled():
-        return _fused_roughness(phase, k, eps)
+        q, vjp = _roughness_parts(phase.data, k, eps)
+        return _build(np.sum(q * (1.0 / k)) * 0.5, [(phase, vjp)])
     n, m = phase.shape
     padded = ops.pad2d(phase, 1)
     total = None
@@ -109,13 +114,16 @@ def roughness_tensor(phase, k: int = 8, eps: float = 1e-12) -> Tensor:
     return ops.sum(per_pixel) * 0.5
 
 
-def _fused_roughness(phase: Tensor, k: int, eps: float) -> Tensor:
-    """:func:`roughness_tensor` as one graph node.
+def _roughness_parts(x: np.ndarray, k: int, eps: float):
+    """The NumPy core of the fused roughness over the last two axes.
 
-    Forward: ``d_i = shift_i(pad(x)) - x``, ``q = sqrt(sum_i d_i^2 +
-    eps)``, ``R = sum(q / k) / 2``.  Backward, in the order the composed
-    graph's topological walk (``diff_0, shift_0, ..., diff_{k-1},
-    shift_{k-1}, pad, x``) accumulates it:
+    Returns ``(q, vjp)``: the per-pixel ``q = sqrt(sum_i d_i^2 + eps)``
+    with ``d_i = shift_i(pad(x)) - x``, and the VJP of ``R = sum(q / k)
+    / 2`` taken per ``(n, m)`` plane.  Leading axes stack independent
+    masks, so ``x`` of shape ``(L, n, m)`` gives each mask's ``R`` as
+    ``np.sum((q * (1/k))[l]) * 0.5``.  The VJP runs, in the order the
+    composed graph's topological walk (``diff_0, shift_0, ...,
+    diff_{k-1}, shift_{k-1}, pad, x``) accumulates it:
 
     1. ``g_a = ((g * 0.5) * (1/k)) * (0.5 / q)``;
     2. ``gd_i = g_a * d_i + g_a * d_i`` (the square's two edges);
@@ -126,17 +134,17 @@ def _fused_roughness(phase: Tensor, k: int, eps: float) -> Tensor:
     their contributions into that sum, so the gradient then agrees with
     the composed one to rounding only.
     """
-    n, m = phase.shape
-    x = phase.data
-    padded = np.pad(x, 1)
-    windows = [(slice(1 + dy, 1 + dy + n), slice(1 + dx, 1 + dx + m))
+    n, m = x.shape[-2:]
+    padded = np.zeros(x.shape[:-2] + (n + 2, m + 2), dtype=x.dtype)
+    padded[..., 1:-1, 1:-1] = x
+    windows = [(Ellipsis, slice(1 + dy, 1 + dy + n),
+                slice(1 + dx, 1 + dx + m))
                for dy, dx in neighbor_offsets(k)]
     diffs = [padded[window] - x for window in windows]
     total = diffs[0] * diffs[0]
     for diff in diffs[1:]:
         total = total + diff * diff
     q = np.sqrt(total + eps)
-    out = np.sum(q * (1.0 / k)) * 0.5
 
     def vjp(g):
         g_a = ((g * 0.5) * (1.0 / k)) * (0.5 / q)
@@ -147,9 +155,9 @@ def _fused_roughness(phase: Tensor, k: int, eps: float) -> Tensor:
             gd = half + half
             plane[window] += gd
             grad = -gd if grad is None else grad - gd
-        return grad + plane[1:-1, 1:-1]
+        return grad + plane[..., 1:-1, 1:-1]
 
-    return _build(out, [(phase, vjp)])
+    return q, vjp
 
 
 def overall_roughness(phases: Sequence[np.ndarray], k: int = 8) -> float:

@@ -146,12 +146,21 @@ class SLRSparsifier:
             total = term if total is None else total + term
         return total
 
-    def _surrogate_value(self, z, lam) -> float:
-        """Full Lagrangian on a fixed probe batch (the surrogate check)."""
+    def _probe_loss(self) -> Tensor:
+        """Task loss on a fixed probe batch at the current ``W``.
+
+        ``W`` changes only in the W-subproblem, so :meth:`run` evaluates
+        this once per ``W`` and reuses it across surrogate checks.
+        """
         if self._probe is None:
             self._probe = next(iter(self.loader))
         images, labels = self._probe
-        value = self._task_loss(images, labels) + self._coupling_penalty(z, lam)
+        return self._task_loss(images, labels).detach()
+
+    def _surrogate_value(self, task: Tensor, z, lam) -> float:
+        """Full Lagrangian on the probe batch (the surrogate check);
+        ``task`` is :meth:`_probe_loss` at the current ``W``."""
+        value = task + self._coupling_penalty(z, lam)
         return float(value.item())
 
     def _project(self, matrix: np.ndarray) -> np.ndarray:
@@ -184,8 +193,9 @@ class SLRSparsifier:
                 ((w - z_i) ** 2).sum() for w, z_i in zip(phases(), z)
             )))
 
+        task = self._probe_loss()
         for k in range(1, cfg.outer_iterations + 1):
-            surrogate_before = self._surrogate_value(z, lam)
+            surrogate_before = self._surrogate_value(task, z, lam)
 
             # --- W-subproblem: gradient descent on L(W, Z^k-1, Lambda^k).
             for _ in range(cfg.inner_epochs):
@@ -197,7 +207,8 @@ class SLRSparsifier:
                     optimizer.step()
 
             # --- Surrogate optimality check + multiplier update.
-            surrogate_after_w = self._surrogate_value(z, lam)
+            task = self._probe_loss()
+            surrogate_after_w = self._surrogate_value(task, z, lam)
             current_residual = residual_norm()
             if surrogate_after_w < surrogate_before and current_residual > 0:
                 alpha = slr_stepsize_alpha(k, cfg.capital_m, cfg.r)
@@ -210,12 +221,12 @@ class SLRSparsifier:
             previous_residual = max(current_residual, 1e-12)
 
             # --- Z-subproblem: exact projection.
-            surrogate_before_z = self._surrogate_value(z, lam)
+            surrogate_before_z = self._surrogate_value(task, z, lam)
             z = [
                 self._project(w + lam_i / cfg.rho)
                 for w, lam_i in zip(phases(), lam)
             ]
-            surrogate_after_z = self._surrogate_value(z, lam)
+            surrogate_after_z = self._surrogate_value(task, z, lam)
             current_residual = residual_norm()
             if surrogate_after_z < surrogate_before_z and current_residual > 0:
                 alpha = slr_stepsize_alpha(k, cfg.capital_m, cfg.r)

@@ -3,6 +3,10 @@
 The 2-pi optimizer (Sec. III-D2) formulates "add 0 or 2 pi to each pixel"
 as a one-hot selection per pixel and relaxes it with the Gumbel-Softmax
 estimator so the roughness loss can be minimized by gradient descent.
+That optimizer runs the two-option case as its own planar NumPy loop
+(:mod:`repro.twopi.optimizer`), bit-identical to this estimator's graph;
+:func:`gumbel_softmax` is the general ``(..., num_options)`` form that
+the discrete phase codesign (:mod:`repro.physics.quantize`) samples.
 """
 
 from __future__ import annotations

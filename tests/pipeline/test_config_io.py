@@ -141,6 +141,21 @@ class TestOverrides:
         with pytest.raises(ValueError, match="block size"):
             apply_overrides(self.cfg(), {"slr.block_size": 7})
 
+    def test_bad_twopi_k_rejected_before_training(self):
+        with pytest.raises(ValueError, match="k must be 4 or 8"):
+            apply_overrides(self.cfg(), {"twopi.k": 6})
+
+    def test_twopi_k_must_match_roughness_k(self):
+        # A roughness_k "before" over a twopi.k "after" is a silently
+        # wrong 2-pi reduction; the message names both keys.
+        for overrides in ({"twopi.k": 4}, {"roughness_k": 4}):
+            with pytest.raises(ValueError,
+                               match=r"twopi\.k=4 .*roughness_k=8|"
+                                     r"twopi\.k=8 .*roughness_k=4"):
+                apply_overrides(self.cfg(), overrides)
+        cfg = apply_overrides(self.cfg(), {"twopi.k": 4, "roughness_k": 4})
+        assert cfg.twopi.k == cfg.roughness_k == 4
+
     def test_empty_overrides_return_config(self):
         cfg = self.cfg()
         assert apply_overrides(cfg, {}) is cfg

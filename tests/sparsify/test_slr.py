@@ -130,3 +130,50 @@ class TestSLRRun:
                                    regularizers=[RoughnessRegularizer(p=0.001)])
         result = sparsifier.run()
         assert result.sparsity == pytest.approx(0.25)
+
+
+class TestProbeReuse:
+    """The surrogate's task loss is evaluated once per ``W``."""
+
+    @staticmethod
+    def run_slr(monkeypatch, recompute):
+        model, loader, _ = tiny_setup(seed=6)
+        config = SLRConfig(sparsity_ratio=0.25, block_size=4,
+                           outer_iterations=3, inner_epochs=1,
+                           finetune_epochs=1, lr=0.05)
+        sparsifier = SLRSparsifier(model, loader, config,
+                                   regularizers=[RoughnessRegularizer(p=1e-3)])
+        probes = []
+        task_loss = SLRSparsifier._task_loss
+        surrogate = SLRSparsifier._surrogate_value
+
+        def counting(self, images, labels):
+            if self._probe is not None and images is self._probe[0]:
+                probes.append(1)
+            return task_loss(self, images, labels)
+
+        def recomputing(self, task, z, lam):
+            # Defeat the reuse: a fresh probe forward for every check.
+            return surrogate(self, self._probe_loss(), z, lam)
+
+        monkeypatch.setattr(SLRSparsifier, "_task_loss", counting)
+        if recompute:
+            monkeypatch.setattr(SLRSparsifier, "_surrogate_value",
+                                recomputing)
+        result = sparsifier.run()
+        return result, model.phases(wrapped=False), len(probes), config
+
+    def test_one_probe_forward_per_w(self, monkeypatch):
+        result, phases, probes, config = self.run_slr(monkeypatch, False)
+        assert probes == config.outer_iterations + 1
+
+        with monkeypatch.context() as patch:
+            want, want_phases, want_probes, _ = self.run_slr(patch, True)
+        # The reference's 4 surrogate checks per outer iteration each
+        # ran a fresh probe forward.
+        assert want_probes > 4 * config.outer_iterations
+        assert result.history == want.history
+        for got_mask, want_mask in zip(result.masks, want.masks):
+            assert got_mask.tobytes() == want_mask.tobytes()
+        for got_phase, want_phase in zip(phases, want_phases):
+            assert got_phase.tobytes() == want_phase.tobytes()

@@ -11,13 +11,12 @@ holds the vectorized replay to the oracle bit for bit, drift included.
 import numpy as np
 import pytest
 
-from repro.autodiff import fused
 from repro.autodiff.rng import spawn_rng
 from repro.optics.constants import TWO_PI
 from repro.roughness import neighbor_offsets, roughness
 from repro.twopi import TwoPiConfig, TwoPiOptimizer, greedy_offsets
-from repro.twopi import optimizer as optimizer_module
 from repro.twopi.exhaustive import _sweep_scores
+from test_gumbel_replay import oracle_optimize_mask
 
 
 def scalar_local(padded, row, col, k):
@@ -188,14 +187,11 @@ def slr_mask():
 
 
 class TestOptimizerEndToEnd:
-    def test_matches_scalar_polish_and_composed_graph(self, slr_mask,
-                                                      monkeypatch):
+    def test_matches_scalar_polish_and_composed_graph(self, slr_mask):
         config = TwoPiConfig(seed=3, block_size=5)
         got = TwoPiOptimizer(config).optimize_mask(slr_mask)
-
-        monkeypatch.setattr(optimizer_module, "_greedy", oracle_greedy)
-        with fused.fused_disabled():
-            want = TwoPiOptimizer(config).optimize_mask(slr_mask)
+        want, _ = oracle_optimize_mask(slr_mask, config,
+                                       greedy=oracle_greedy)
 
         assert got.offsets.tobytes() == want.offsets.tobytes()
         assert got.roughness_after == want.roughness_after

@@ -157,6 +157,17 @@ class TestTwoPiOptimizer:
         with pytest.raises(ValueError):
             TwoPiConfig(tau_end=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 6, "k must be 4 or 8"),
+        ("lr", 0.0, "learning rate"),
+        ("lr", -0.3, "learning rate"),
+        ("block_size", 0, "block_size"),
+    ])
+    def test_bad_settings_rejected_at_construction(self, field, value,
+                                                   message):
+        with pytest.raises(ValueError, match=message):
+            TwoPiConfig(**{field: value})
+
     def test_solution_never_worse(self):
         rng = spawn_rng(9)
         mask = rng.uniform(0, TWO_PI, (12, 12))
