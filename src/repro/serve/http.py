@@ -7,9 +7,12 @@ are coalesced into engine batches exactly like programmatic callers.
 The same frontend serves a :class:`~repro.serve.Server` replica and the
 :class:`~repro.serve.router.Router`: :class:`JSONHandler` owns what the
 two share (response writing, ``/healthz``, ``/metrics``,
-``/admin/drain``, the 404 envelope and the ``Content-Length`` guard),
-and each subclass adds only its own routes.  :func:`fetch` is the
-matching client call the router probes and forwards with.
+``/admin/drain``, the 404 envelope and the request-framing guard),
+and each subclass adds only its own routes.  Every accepted socket has
+``TCP_NODELAY`` set, so a response's header and body writes leave at
+once instead of waiting out the client's delayed ACK.  :func:`fetch` is
+the one-shot client call the router probes with (it forwards over
+pooled keep-alive connections instead).
 
 Endpoints
 ---------
@@ -34,6 +37,7 @@ header wins) — after which it fails fast with **504** instead of
 queueing forever.  Errors come back as ``{"error": "..."}``:
 
 * 400 — malformed request (bad JSON, shapes, types, ``Content-Length``)
+* 411 — a ``Transfer-Encoding`` (chunked) body; send ``Content-Length``
 * 429 — admission window full (``max_inflight``); honors ``Retry-After``
 * 503 — draining, or no healthy shard left; honors ``Retry-After``
 * 504 — the request's deadline expired before a result was produced
@@ -98,7 +102,8 @@ def jittered_retry_after(suggested: float) -> str:
 def fetch(url: str, method: str = "GET", body: Optional[bytes] = None,
           headers: Optional[Mapping[str, str]] = None,
           timeout: float = 30.0) -> Tuple[int, Mapping[str, str], bytes]:
-    """One HTTP request; returns ``(status, headers, body)``.
+    """One HTTP request on a fresh connection; returns ``(status,
+    headers, body)``.
 
     Error statuses are answers like any other (urllib's ``HTTPError`` is
     unwrapped into the tuple); only connection-level failures — refused,
@@ -202,6 +207,10 @@ class JSONHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY on every accepted socket.  A response is two writes
+    # (headers, then body); with Nagle on, the body waits for the ACK of
+    # the headers, which a keep-alive client delays ~40 ms.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
         pass  # request logging is the operator's job, not stderr's
@@ -229,6 +238,8 @@ class JSONHandler(BaseHTTPRequestHandler):
         self.send_json(404, {"error": f"unknown path {self.path}"})
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
+        if self._read_body() is None:
+            return
         if self.path == "/healthz":
             health = self.app.health()
             # ok/degraded still serve traffic (200); draining/unhealthy
@@ -255,11 +266,18 @@ class JSONHandler(BaseHTTPRequestHandler):
             self.route_post(body)
 
     def _read_body(self) -> Optional[bytes]:
-        """The request body, or None after refusing a malformed or
-        oversized ``Content-Length`` with 400.  A refused body is never
-        read, so its bytes would sit on the keep-alive socket to be
-        misparsed as the next request: the refusal closes the
-        connection (``Connection: close``)."""
+        """The request body, or None after refusing it: 411 for a
+        ``Transfer-Encoding`` (chunked) body, 400 for a malformed or
+        oversized ``Content-Length``.  A refused body is never read, so
+        its bytes would sit on the keep-alive socket to be misparsed as
+        the next request: the refusal closes the connection
+        (``Connection: close``)."""
+        if "Transfer-Encoding" in self.headers:
+            self.send_json(411, {"error": "Transfer-Encoding bodies are "
+                                          "not accepted; send "
+                                          "Content-Length"},
+                           {"Connection": "close"})
+            return None
         raw = self.headers.get("Content-Length", "0")
         try:
             length = int(raw)
@@ -323,7 +341,7 @@ class _Handler(JSONHandler):
 class _ThreadingServer(ThreadingHTTPServer):
     daemon_threads = True
     # The stdlib backlog of 5 overflows when dozens of clients connect at
-    # once (every router hop and every http_sender request is a fresh
+    # once (every http_sender request and every router probe is a fresh
     # connection); each dropped SYN stalls its client ~1 s on retransmit.
     request_queue_size = 128
 

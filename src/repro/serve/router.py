@@ -41,10 +41,15 @@ relayed immediately — they are the *request's* fault (or its deadline),
 not the replica's.  With ``hedge_ms`` set, a request still unanswered
 after that many milliseconds is duplicated to a second replica and the
 first answer wins (tail-latency insurance priced at one extra request).
+
+Attempts travel over each member's pool of keep-alive connections;
+probes open a fresh connection each, so they also test that the
+replica still accepts connections.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -55,6 +60,7 @@ from concurrent.futures import (
     wait,
 )
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from urllib.parse import urlsplit
 
 from ..obs.metrics import MetricsRegistry
 from ..utils.backoff import Backoff
@@ -84,6 +90,10 @@ _FORWARD_HEADERS = ("Content-Type", "X-Deadline-Ms")
 
 #: Response headers relayed from the replica back to the client.
 _RELAY_HEADERS = ("Content-Type", "Retry-After")
+
+#: What a pooled keep-alive connection raises when the replica closed it
+#: while it sat idle (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE_ERRORS = (BrokenPipeError, ConnectionResetError)
 
 
 @dataclass(frozen=True)
@@ -209,6 +219,8 @@ class _Member:
         self.probe_failures = 0   # consecutive
         self.probe_successes = 0  # consecutive
         self.last_status: Optional[str] = None  # replica-reported
+        # Idle keep-alive connections to ``url``, most recent last.
+        self.idle: List[http.client.HTTPConnection] = []
 
     def routable(self) -> bool:
         return self.state in ("ok", "suspect")
@@ -313,6 +325,11 @@ class Router:
             "repro_router_probe_failures_total",
             "Failed health probes, by replica.",
             labelnames=("replica",))
+        self._m_connects = self.metrics.counter(
+            "repro_router_upstream_connects_total",
+            "TCP connections the router opened to a replica for "
+            "forwarding; pooled keep-alive reuse opens none.",
+            labelnames=("replica",))
         self._m_latency = self.metrics.histogram(
             "repro_router_request_latency_seconds",
             "Wall time from router accept to response, per request.")
@@ -376,8 +393,10 @@ class Router:
         """Reconcile members against the current endpoint list: new ids
         join at ``rejoining``, respawned ids (same id, new URL) restart
         their walk at ``rejoining``, vanished ids (quarantined/stopped
-        replicas) are dropped."""
+        replicas) are dropped.  Both of the last two close the member's
+        idle connections."""
         endpoints = self._endpoints()
+        stale: List[http.client.HTTPConnection] = []
         with self._lock:
             seen = set()
             for replica_id, url in endpoints:
@@ -396,9 +415,13 @@ class Router:
                     member.probe_failures = 0
                     member.probe_successes = 0
                     member.breaker.record_success()
+                    stale += member.idle
+                    member.idle = []
             for replica_id in list(self._members):
                 if replica_id not in seen:
-                    del self._members[replica_id]
+                    stale += self._members.pop(replica_id).idle
+        for conn in stale:
+            conn.close()
 
     def probe_once(self) -> Dict[str, str]:
         """One synchronous probe round over all members; returns
@@ -503,6 +526,13 @@ class Router:
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False, cancel_futures=True)
             self._hedge_pool = None
+        idle: List[http.client.HTTPConnection] = []
+        with self._lock:
+            for member in self._members.values():
+                idle += member.idle
+                member.idle = []
+        for conn in idle:
+            conn.close()
 
     def __enter__(self) -> "Router":
         return self.start()
@@ -554,20 +584,58 @@ class Router:
             else:
                 member.breaker.record_success()
 
+    def _checkin(self, member: _Member, url: str,
+                 conn: http.client.HTTPConnection) -> None:
+        """Pool ``conn`` for reuse, unless its member was respawned or
+        dropped, or the router stopped, since it was checked out."""
+        with self._lock:
+            if (self._members.get(member.id) is member
+                    and member.url == url and not self._stop.is_set()):
+                member.idle.append(conn)
+                return
+        conn.close()
+
     def _send(self, member: _Member, method: str, path: str, body: bytes,
               headers: Dict[str, str]) -> Optional[_Response]:
-        """One attempt against one replica.  ``None`` = connection-level
-        failure (no HTTP response at all)."""
+        """One attempt against one replica over a pooled keep-alive
+        connection.  ``None`` = connection-level failure (no HTTP
+        response at all).  A reused connection that fails before any
+        response byte was most likely closed by the replica while idle:
+        it is retried once on a fresh connection, which is safe because
+        every forwarded route is a pure function."""
+        with self._lock:
+            url, conn = member.url, (member.idle.pop() if member.idle
+                                     else None)
+        parts = urlsplit(url)
+        for fresh in ((False, True) if conn is not None else (True,)):
+            if fresh:
+                conn = http.client.HTTPConnection(
+                    parts.hostname, parts.port,
+                    timeout=self.config.request_timeout)
+            try:
+                if fresh:
+                    conn.connect()
+                    self._m_connects.inc(replica=member.id)
+                conn.request(method, parts.path + path,
+                             body if method == "POST" else None, headers)
+                response = conn.getresponse()
+                break
+            except Exception as exc:  # noqa: BLE001 — refused/reset/timeout
+                conn.close()
+                if fresh or not isinstance(exc, _STALE_ERRORS):
+                    return None
         try:
-            status, received, payload = fetch(
-                member.url + path, method,
-                body if method == "POST" else None, headers,
-                self.config.request_timeout)
-        except Exception:  # noqa: BLE001 — refused/reset/timeout
+            payload = response.read()
+        except Exception:  # noqa: BLE001 — reset/timeout mid-body
+            conn.close()
             return None
-        relay = {name: received[name] for name in _RELAY_HEADERS
-                 if received.get(name)}
-        return status, relay, payload
+        if response.will_close:
+            conn.close()
+        else:
+            self._checkin(member, url, conn)
+        relay = {name: response.headers[name] for name in _RELAY_HEADERS
+                 if response.headers.get(name)}
+        return response.status, relay, payload
 
     def _shed(self, reason: str) -> _Response:
         self._m_sheds.inc(reason=reason)

@@ -1,10 +1,14 @@
 """One HTTP frontend, two apps: replica and router answer the shared
-paths identically, and a burst of new connections does not stall on
-the listen backlog."""
+paths identically, a keep-alive connection answers without transport
+stalls, and a burst of new connections does not stall on the listen
+backlog."""
 
 import contextlib
 import http.client
 import json
+import re
+import socket
+import statistics
 import threading
 import time
 
@@ -87,6 +91,70 @@ class TestFrontendParity:
                 status, _, health = request(url, "GET", "/healthz")
                 assert status == 503
                 assert health["status"] == "draining"
+
+
+    def test_same_411_and_close_for_chunked_body(self, model):
+        # A chunked body has no Content-Length; read as empty, its chunk
+        # bytes would stay on the socket and be parsed as the next
+        # request.  The frontend answers once and closes instead.
+        body = b'{"inputs": [[0.0]]}'
+        raw = (b"POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+               b"Content-Type: application/json\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n"
+               + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+               + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        with replica_and_router(model) as urls:
+            for url in urls.values():
+                host, port = url.split("://", 1)[1].rsplit(":", 1)
+                with socket.create_connection((host, int(port)),
+                                              timeout=10) as sock:
+                    sock.sendall(raw)
+                    received = b""
+                    while chunk := sock.recv(65536):  # until EOF
+                        received += chunk
+                head, _, payload = received.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 411 "), received
+                assert b"\r\nConnection: close" in head
+                # Exactly one response, then EOF: nothing follows the
+                # declared body.
+                length = re.search(rb"\r\nContent-Length: (\d+)", head)
+                assert len(payload) == int(length.group(1)), received
+                assert "Content-Length" in json.loads(payload)["error"]
+
+
+KEEPALIVE_REQUESTS = (
+    ("GET", "/healthz", None),
+    ("POST", "/v1/predict", {"inputs": [[0.5] * 16] * 16}),
+    # Detector-plane intensity: a body much larger than the headers.
+    ("POST", "/v1/intensity", {"inputs": [[0.5] * 16] * 16}),
+)
+
+
+@pytest.mark.parametrize("method,path,payload", KEEPALIVE_REQUESTS,
+                         ids=[path for _, path, _ in KEEPALIVE_REQUESTS])
+def test_keepalive_requests_answer_without_delayed_ack_stall(
+        model, method, path, payload):
+    # With Nagle on, a response's body write waits for the ACK of its
+    # header write, which the client delays ~40 ms on a reused
+    # connection; TCP_NODELAY on the frontend removes the stall.
+    body = None if payload is None else json.dumps(payload).encode()
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    with replica_and_router(model) as urls:
+        for role, url in urls.items():
+            host, port = url.split("://", 1)[1].rsplit(":", 1)
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            elapsed = []
+            try:
+                for _ in range(20):
+                    begin = time.perf_counter()
+                    conn.request(method, path, body, headers)
+                    response = conn.getresponse()
+                    response.read()
+                    elapsed.append(time.perf_counter() - begin)
+                    assert response.status == 200
+            finally:
+                conn.close()
+            assert statistics.median(elapsed) < 0.010, (role, elapsed)
 
 
 def test_connection_burst_does_not_stall_on_backlog(model):

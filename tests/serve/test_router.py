@@ -8,6 +8,7 @@ prober, so no test depends on wall-clock probe timing.
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -35,13 +36,30 @@ class StubReplica:
     * ``status_script`` — list of HTTP statuses to answer before
       falling back to 200 (e.g. ``[500, 500]`` fails twice)
     * ``delay_s`` — sleep before answering /v1/predict
+
+    ``open_connections`` counts the sockets the stub currently holds
+    open; ``idle_timeout`` (seconds) makes it close a keep-alive socket
+    that sits idle that long, as real servers do.
     """
 
-    def __init__(self):
+    def __init__(self, idle_timeout=None):
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Like the real replicas: no delayed-ACK stall per response.
+            disable_nagle_algorithm = True
+            timeout = idle_timeout
+
+            def setup(self):
+                super().setup()
+                with stub.lock:
+                    stub.open_connections += 1
+
+            def finish(self):
+                super().finish()
+                with stub.lock:
+                    stub.open_connections -= 1
 
             def log_message(self, *args):
                 pass
@@ -88,6 +106,8 @@ class StubReplica:
         self.status_script = []
         self.delay_s = 0.0
         self.requests = 0
+        self.lock = threading.Lock()
+        self.open_connections = 0
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.httpd.daemon_threads = True
         self._thread = threading.Thread(
@@ -501,3 +521,147 @@ class TestRespawnHealth:
         replica_set.states["s1"] = "ok"
         router.probe_once()
         assert router.health()["status"] == "ok"
+
+
+def upstream_connects(router):
+    parsed = parse_prometheus(router.metrics_text())
+    samples = parsed.get("repro_router_upstream_connects_total", {})
+    return sum(samples.get("samples", {}).values())
+
+
+def eventually(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestUpstreamPool:
+    def test_sequential_requests_reuse_one_connection_per_replica(
+            self, stubs):
+        router = make_router(stubs)
+        for _ in range(4):
+            router.forward("/v1/predict", BODY)
+        # Probes use fresh connections of their own and are not counted.
+        assert upstream_connects(router) == 2
+        for _ in range(20):
+            status, _, _ = router.forward("/v1/predict", BODY)
+            assert status == 200
+        assert upstream_connects(router) == 2
+        assert eventually(lambda: [stub.open_connections
+                                   for stub in stubs] == [1, 1])
+        router.stop()
+
+    def test_stale_pooled_connection_is_retried_transparently(self):
+        # The replicas close keep-alive sockets idle for 0.2 s.
+        stubs = [StubReplica(idle_timeout=0.2) for _ in range(2)]
+        try:
+            router = make_router(stubs, breaker_threshold=1)
+            for _ in range(2):
+                assert router.forward("/v1/predict", BODY)[0] == 200
+            assert eventually(lambda: all(stub.open_connections == 0
+                                          for stub in stubs))
+            for _ in range(2):
+                status, _, body = router.forward("/v1/predict", BODY)
+                assert status == 200
+                assert json.loads(body) == {"predictions": 7}
+            parsed = parse_prometheus(router.metrics_text())
+            assert sum(parsed["repro_router_failovers_total"][
+                "samples"].values()) == 0
+            # One failure would have opened a threshold-1 breaker.
+            assert {m["breaker"] for m in router.health()["replicas"]} == {
+                "closed"}
+            assert [stub.requests for stub in stubs] == [2, 2]
+            assert upstream_connects(router) == 4
+            router.stop()
+        finally:
+            for stub in stubs:
+                stub.stop()
+
+    def test_timeout_is_not_retried(self, stubs):
+        router = make_router(stubs, request_timeout=0.2, max_failover=1,
+                             breaker_threshold=1)
+        for _ in range(2):
+            router.forward("/v1/predict", BODY)
+        for stub in stubs:
+            stub.delay_s = 0.5
+        status, _, _ = router.forward("/v1/predict", BODY)
+        # Each replica was asked once: a timed-out pooled connection is a
+        # failed attempt (failover, breaker), never a silent retry.
+        assert status == 503
+        assert [stub.requests for stub in stubs] == [2, 2]
+        parsed = parse_prometheus(router.metrics_text())
+        assert sum(parsed["repro_router_failovers_total"][
+            "samples"].values()) == 1
+        assert {m["breaker"] for m in router.health()["replicas"]} == {
+            "open"}
+        router.stop()
+
+    def test_respawned_and_dropped_members_close_idle_connections(
+            self, stubs):
+        replica_set = FakeReplicaSet(stubs)
+        router = Router(replica_set=replica_set,
+                        config=RouterConfig(rejoin_after=1))
+        router.probe_once()
+        for _ in range(2):
+            router.forward("/v1/predict", BODY)
+        assert eventually(lambda: [stub.open_connections
+                                   for stub in stubs] == [1, 1])
+        respawned = StubReplica()  # same id, new port
+        try:
+            replica_set.stubs = [respawned, stubs[1]]
+            router.probe_once()
+            assert eventually(lambda: stubs[0].open_connections == 0)
+            replica_set.states["s1"] = "respawning"  # leaves membership
+            router.probe_once()
+            assert eventually(lambda: stubs[1].open_connections == 0)
+            assert router.forward("/v1/predict", BODY)[0] == 200
+            assert respawned.requests == 1
+            router.stop()
+        finally:
+            respawned.stop()
+
+    def test_concurrent_forwards_never_share_a_connection(self, stubs):
+        # Two threads holding one pooled connection would interleave
+        # requests on it and fail over; the pool must hand each
+        # connection to one attempt at a time.
+        threads, per_thread = 8, 25
+        router = make_router(stubs)
+        statuses = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def client():
+                for _ in range(per_thread):
+                    statuses.append(router.forward("/v1/predict", BODY)[0])
+
+            workers = [threading.Thread(target=client)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert statuses == [200] * threads * per_thread
+        assert stubs[0].requests + stubs[1].requests == threads * per_thread
+        parsed = parse_prometheus(router.metrics_text())
+        assert sum(parsed["repro_router_failovers_total"][
+            "samples"].values()) == 0
+        # A connection is opened only while every pooled one is busy.
+        connects = parsed["repro_router_upstream_connects_total"]["samples"]
+        assert max(connects.values()) <= threads
+        router.stop()
+
+    def test_stop_closes_every_connection(self, stubs):
+        router = make_router(stubs)
+        for _ in range(4):
+            router.forward("/v1/predict", BODY)
+        assert eventually(lambda: [stub.open_connections
+                                   for stub in stubs] == [1, 1])
+        router.stop()
+        assert eventually(lambda: [stub.open_connections
+                                   for stub in stubs] == [0, 0])
