@@ -1,16 +1,11 @@
 #!/usr/bin/env python
-"""Snapshot the serving, backend, sweep and physics-scenario benchmarks.
+"""Snapshot the backend and physics-scenario benchmarks.
 
 Each group is driven directly (none is a repeated-timing pytest
 micro-benchmark) and writes one ``BENCH_*.json``:
 
-* ``serving`` — the ``repro.serve`` load generator: batched vs
-  one-at-a-time throughput with p50/p99 latency, a process-shard kill and
-  a replica kill (byte-identity and recovery gates);
 * ``backend`` — the FFT dispatch layer: numpy vs scipy at workers=1/N
   kernel FFTs, double vs single fused train steps;
-* ``sweep`` — the fault-tolerant sweep orchestrator: serial vs
-  supervised-parallel vs kill-and-recover, with a byte-identity gate;
 * ``scenarios`` — the four physics scenarios end to end
   (coherent-limit equality, quantization-gap and deployed-accuracy
   gates).
@@ -18,10 +13,8 @@ micro-benchmark) and writes one ``BENCH_*.json``:
 ::
 
     python benchmarks/run_benchmarks.py
-        [--only serving|backend|sweep|scenarios]
-        [--serving-output BENCH_serving.json] [--serving-quick]
+        [--only backend|scenarios]
         [--backend-output BENCH_backend.json] [--backend-quick]
-        [--sweep-output BENCH_sweep.json] [--sweep-quick]
         [--scenarios-output BENCH_scenarios.json] [--scenarios-quick]
 
 Each snapshot carries a ``provenance`` block (git SHA, timestamp,
@@ -29,8 +22,9 @@ python/numpy/scipy versions, platform) and a ``thresholds`` block of
 regression gates that ``repro bench-compare`` enforces against an older
 snapshot (non-zero exit on regression — the CI bench gate).  The exit
 status is non-zero when any group's acceptance gate fails.  End-to-end
-training and inference speed is measured by ``perfbench/`` instead
-(``docs/performance.md``).
+training and serving speed is measured by ``perfbench/`` instead
+(``docs/performance.md``); the serving and sweep chaos gates live in
+tier-1 and the CI chaos smokes (``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -86,22 +79,7 @@ def provenance() -> dict:
 #: reads the *new* snapshot's block (else the old's), so a quick/CI
 #: snapshot deliberately writes only the gates that remain meaningful
 #: at its shrunken scale (correctness booleans, never timing ratios).
-_SERVING_THRESHOLDS = {
-    "n20_double.batch32_vs_batch1": 2.0,
-    "fault_recovery.byte_identical": True,
-    "fault_recovery.recovered": True,
-    "replica_recovery.byte_identical": True,
-    "replica_recovery.recovered": True,
-    "replica_recovery.kill_one_replica_vs_no_fault": 0.6,
-}
-_SERVING_THRESHOLDS_QUICK = {
-    "fault_recovery.byte_identical": True,
-    "fault_recovery.recovered": True,
-    "replica_recovery.byte_identical": True,
-    "replica_recovery.recovered": True,
-}
 _BACKEND_THRESHOLDS = {"train_single_vs_double_n64": 1.5}
-_SWEEP_THRESHOLDS = {"byte_identical": True}
 #: Physics-scenario gates: correctness booleans that hold at any scale —
 #: the 1-mode partial-coherence engine must equal the coherent engine,
 #: Gumbel-softmax quantization must land within 2 accuracy points of the
@@ -112,125 +90,6 @@ _SCENARIO_THRESHOLDS = {
     "quantized_within_2pts": True,
     "deploy_gap_reported": True,
 }
-
-
-def run_serving_bench(output: str, quick: bool = False) -> int:
-    """Drive the serving load generator and write its snapshot.
-
-    It measures *throughput under concurrent load* through
-    :func:`repro.serve.benchmark_serving`: the acceptance grid (n=20, double — the overhead-dominated
-    regime micro-batching exists for) plus an n=40 single-precision
-    context workload.  ``quick`` shrinks the request counts for CI
-    plumbing checks (numbers are written but not meaningful).
-    """
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.autodiff.rng import spawn_rng
-    from repro.donn import DONN, DONNConfig
-    from repro.serve import (
-        ModelStore,
-        benchmark_fault_recovery,
-        benchmark_replica_recovery,
-        benchmark_serving,
-        write_snapshot,
-    )
-
-    scale = 16 if quick else 1
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ModelStore(tmp)
-        workloads = {}
-        # Acceptance grid: serve from a ModelStore artifact end-to-end.
-        artifact = store.save(
-            "bench-n20", DONN(DONNConfig.laptop(n=20), rng=spawn_rng(21))
-        )
-        workloads["n20_double"] = benchmark_serving(
-            artifact=artifact, n_requests=768 // scale, concurrency=64,
-            batch_sizes=(1, 8, 32), shard_counts=(1, 2), verbose=True,
-        )
-        # Context: at n=40 the engine is FFT-bound in double precision;
-        # single precision restores a batching margin.
-        artifact = store.save(
-            "bench-n40", DONN(DONNConfig.laptop(n=40), rng=spawn_rng(21))
-        )
-        workloads["n40_single"] = benchmark_serving(
-            artifact=artifact, n_requests=384 // scale, concurrency=64,
-            batch_sizes=(1, 32), shard_counts=(1, 2), precision="single",
-            verbose=True,
-        )
-        # Fault recovery: the same closed-loop load with a process shard
-        # killed mid-run (os._exit in the child); every response is
-        # byte-checked against a serial engine and /healthz must come
-        # back to "ok".  The summary ratio is throughput retained under
-        # the fault.
-        artifact = store.path("bench-n20")
-        workloads["fault_recovery"] = benchmark_fault_recovery(
-            artifact=artifact, n_requests=512 // scale, concurrency=32,
-            max_batch=8, shards=2, backend="process",
-            kill_shard=1, kill_after=2, verbose=True,
-        )
-        # Replica tier: the 1..N router grid plus a kill-one-of-N case
-        # (replica 1 calls os._exit mid-load); responses byte-checked
-        # through the router, and the set must respawn the dead replica
-        # and aggregate back to "ok".  The gated summary ratio is the
-        # throughput retained through the kill vs the same-size
-        # no-fault cluster.
-        workloads["replica_recovery"] = benchmark_replica_recovery(
-            artifact=artifact, n_requests=192 // scale, concurrency=16,
-            replica_counts=(1, 2) if quick else (1, 2, 3),
-            kill_replicas=2 if quick else 3,
-            kill_replica=1, kill_after=5, verbose=True,
-        )
-    snapshot = {
-        "workloads": workloads,
-        "provenance": provenance(),
-        "thresholds": (_SERVING_THRESHOLDS_QUICK if quick
-                       else _SERVING_THRESHOLDS),
-        "summary": {
-            f"{name}.{label}": value
-            for name, workload in workloads.items()
-            for label, value in workload["summary"].items()
-        },
-    }
-    write_snapshot(output, snapshot)
-    print(f"wrote {output}")
-    for label, value in sorted(snapshot["summary"].items()):
-        if isinstance(value, float):
-            print(f"  {label}: {value:.2f}x")
-        else:
-            print(f"  {label}: {value}")
-    status = 0
-    accepted = snapshot["summary"].get("n20_double.batch32_vs_batch1", 0.0)
-    if not quick and accepted < 2.0:
-        print(f"ACCEPTANCE FAILED: batch-32 coalescing {accepted:.2f}x "
-              "< 2x over one-request-at-a-time", file=sys.stderr)
-        status = 1
-    # Correctness gates hold even in --quick: a kill must recover to a
-    # healthy pool with byte-identical answers regardless of load size.
-    fault = snapshot["summary"]
-    if not fault.get("fault_recovery.byte_identical", False):
-        print("ACCEPTANCE FAILED: responses under a shard kill were not "
-              "byte-identical to the serial engine", file=sys.stderr)
-        status = 1
-    if not fault.get("fault_recovery.recovered", False):
-        print("ACCEPTANCE FAILED: /healthz did not return to ok after "
-              "the injected shard kill", file=sys.stderr)
-        status = 1
-    if not fault.get("replica_recovery.byte_identical", False):
-        print("ACCEPTANCE FAILED: routed responses under a replica kill "
-              "were not byte-identical to the serial engine",
-              file=sys.stderr)
-        status = 1
-    if not fault.get("replica_recovery.recovered", False):
-        print("ACCEPTANCE FAILED: router /healthz did not return to ok "
-              "after the injected replica kill", file=sys.stderr)
-        status = 1
-    retained = fault.get("replica_recovery.kill_one_replica_vs_no_fault",
-                         0.0)
-    if not quick and retained < 0.6:
-        print(f"ACCEPTANCE FAILED: only {retained:.2f}x throughput "
-              "retained through a replica kill (< 0.6x gate)",
-              file=sys.stderr)
-        status = 1
-    return status
 
 
 def _timeit(fn, rounds: int, warmup: int = 1) -> dict:
@@ -367,98 +226,6 @@ def run_backend_bench(output: str, quick: bool = False) -> int:
     return 0
 
 
-def run_sweep_bench(output: str, quick: bool = False) -> int:
-    """Time the fault-tolerant sweep orchestrator; write ``BENCH_sweep.json``.
-
-    Three sweeps of the same tiny 2-point grid (laptop n=20, 3 epochs):
-
-    * **serial** — the max_workers=1 baseline;
-    * **parallel** — max_workers=2 through the supervised pool;
-    * **kill_recovery** — max_workers=2 with an injected worker SIGKILL
-      at the end of epoch 1 of point 0 (checkpoint on disk), so the cost
-      measured is detect + respawn + resume-from-checkpoint.
-
-    The acceptance gate is correctness, not speed: all three sweeps must
-    produce byte-identical final tables, or the snapshot exits nonzero —
-    this is the fault-tolerance invariant CI leans on.
-    """
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    import shutil
-    import time
-
-    from repro.pipeline.sweep import format_sweep, parse_faults, run_sweep_dir
-
-    spec = {
-        "base": "laptop", "family": "digits", "n": 20, "seed": 0,
-        "recipe": "ours_a",
-        "set": {"n_train": 60, "n_test": 30, "batch_size": 30,
-                "baseline_epochs": 1 if quick else 3,
-                "twopi.iterations": 10},
-        "grid": {"roughness_p": [0.1, 0.5]},
-    }
-
-    scenarios = [
-        ("serial", {"max_workers": 1}, None),
-        ("parallel", {"max_workers": 2}, None),
-        ("kill_recovery", {"max_workers": 2},
-         None if quick else parse_faults("kill:point=0,epoch=1")),
-    ]
-    cases = {}
-    tables = {}
-    root = tempfile.mkdtemp(prefix="bench-sweep-")
-    try:
-        for label, kwargs, faults in scenarios:
-            sweep_dir = os.path.join(root, label)
-            start = time.perf_counter()
-            summary = run_sweep_dir(sweep_dir, spec=spec, faults=faults,
-                                    **kwargs)
-            elapsed = time.perf_counter() - start
-            if not summary.ok:
-                print(f"ACCEPTANCE FAILED: sweep scenario {label!r} did "
-                      f"not complete: {summary.failures}", file=sys.stderr)
-                return 1
-            cases[f"sweep_{label}"] = {
-                "mean_s": elapsed, "min_s": elapsed, "stddev_s": 0.0,
-                "rounds": 1,
-            }
-            tables[label] = format_sweep(sweep_dir)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    byte_identical = (tables["serial"] == tables["parallel"]
-                      == tables["kill_recovery"])
-    summary_block = {
-        "parallel_vs_serial": round(
-            cases["sweep_serial"]["mean_s"]
-            / cases["sweep_parallel"]["mean_s"], 3),
-        "kill_recovery_overhead_vs_parallel": round(
-            cases["sweep_kill_recovery"]["mean_s"]
-            / cases["sweep_parallel"]["mean_s"], 3),
-        "byte_identical": byte_identical,
-    }
-    snapshot = {
-        "machine_info": {"cpu_count": os.cpu_count()},
-        "provenance": provenance(),
-        # The byte-identity gate is correctness, not speed: it holds at
-        # any scale, so quick snapshots keep it.
-        "thresholds": dict(_SWEEP_THRESHOLDS),
-        "cases": cases,
-        "summary": summary_block,
-    }
-    with open(output, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(cases)} cases to {output}")
-    for label, value in sorted(summary_block.items()):
-        print(f"  {label}: {value}")
-    if not byte_identical:
-        print("ACCEPTANCE FAILED: sweep results are not byte-identical "
-              "across serial / parallel / kill-recovery runs",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def run_scenarios_bench(output: str, quick: bool = False) -> int:
     """Run the four physics scenarios end to end; write
     ``BENCH_scenarios.json``.
@@ -584,19 +351,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--only",
-        choices=("serving", "backend", "sweep", "scenarios"),
+        choices=("backend", "scenarios"),
         default=None,
         help="snapshot just one bench group (default: all)",
-    )
-    parser.add_argument(
-        "--serving-output",
-        default=os.path.join(REPO_ROOT, "benchmarks", "BENCH_serving.json"),
-        help="where to write the serving snapshot",
-    )
-    parser.add_argument(
-        "--serving-quick", action="store_true",
-        help="shrink the serving workload to a plumbing check "
-             "(numbers written but not meaningful)",
     )
     parser.add_argument(
         "--backend-output",
@@ -607,16 +364,6 @@ def main() -> int:
         "--backend-quick", action="store_true",
         help="single-round backend bench for CI plumbing checks "
              "(numbers written but not meaningful; acceptance gate off)",
-    )
-    parser.add_argument(
-        "--sweep-output",
-        default=os.path.join(REPO_ROOT, "benchmarks", "BENCH_sweep.json"),
-        help="where to write the sweep-orchestrator snapshot",
-    )
-    parser.add_argument(
-        "--sweep-quick", action="store_true",
-        help="1-epoch sweep bench without fault injection for CI "
-             "plumbing checks (byte-identity gate still on)",
     )
     parser.add_argument(
         "--scenarios-output",
@@ -632,17 +379,9 @@ def main() -> int:
     args = parser.parse_args()
 
     status = 0
-    if args.only in (None, "serving"):
-        status = run_serving_bench(
-            args.serving_output, quick=args.serving_quick
-        ) or status
     if args.only in (None, "backend"):
         status = run_backend_bench(
             args.backend_output, quick=args.backend_quick
-        ) or status
-    if args.only in (None, "sweep"):
-        status = run_sweep_bench(
-            args.sweep_output, quick=args.sweep_quick
         ) or status
     if args.only in (None, "scenarios"):
         status = run_scenarios_bench(

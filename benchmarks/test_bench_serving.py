@@ -1,21 +1,21 @@
-"""Serving-stack benches: micro-batching and sharding throughput.
+"""Serving-stack benches: micro-batching and replica-kill throughput.
 
-Drives the full ``repro.serve`` stack (artifact -> sharded engines ->
-micro-batcher) with a closed-loop client pool and checks the headline
-claim: coalescing concurrent requests into batch-32 engine calls beats
-one-request-at-a-time serving by >= 2x at the laptop-quick scale (n=20,
-double precision), where per-call overhead — not FFT compute — dominates
-a single-sample engine call.
+Drives the full ``repro.serve`` stack with a closed-loop client pool
+(:func:`repro.serve.run_load`) and checks two throughput claims:
 
-``python benchmarks/run_benchmarks.py --only serving`` snapshots the
-full (batch size x shard count) grid, plus an n=40 single-precision
-context workload, to ``BENCH_serving.json`` (see ``docs/serving.md``
-for how to read it — including why thread shards are flat at laptop
-sizes).
+* coalescing concurrent requests into batch-32 engine calls beats
+  one-request-at-a-time serving by >= 2x at the laptop-quick scale (n=20,
+  double precision), where per-call overhead — not FFT compute —
+  dominates a single-sample engine call;
+* a 3-replica cluster behind the router keeps >= 0.6x of its no-fault
+  throughput while one replica is killed mid-load, with every routed
+  answer byte-identical to a serial engine and the router back to
+  ``ok`` afterwards.
 
-The full grid only runs when benchmarking is explicitly requested; a
-plain ``pytest`` sweep runs a smoke-scale pass that exercises the same
-code path without timing claims.
+Both only run when benchmarking is explicitly requested
+(``--benchmark-only`` or ``REPRO_RUN_TABLE_BENCHES=1``); the chaos
+guarantees themselves are tier-1 tests (``tests/serve/test_faults.py``,
+``tests/serve/test_cluster.py``) and CI smokes (``docs/serving.md``).
 """
 
 import os
@@ -25,7 +25,9 @@ import pytest
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
-from repro.serve import benchmark_serving
+from repro.serve import (ModelStore, ServeConfig, Server, run_load,
+                         verified_load)
+from repro.serve.bench import deployment
 
 from .conftest import report
 
@@ -39,59 +41,85 @@ def _serving_model(n=ACCEPTANCE_N):
     return DONN(DONNConfig.laptop(n=n), rng=spawn_rng(21))
 
 
-def test_serving_stack_smoke():
-    """Cheap always-on pass over the whole grid machinery."""
-    snapshot = benchmark_serving(
-        model=_serving_model(), n_requests=48, concurrency=8,
-        batch_sizes=(1, 8), shard_counts=(1, 2), max_delay=0.002,
-    )
-    assert "server_batch1" in snapshot["cases"]
-    assert "server_batch8_shards2" in snapshot["cases"]
-    assert snapshot["cases"]["server_batch8"]["batcher"]["requests"] == 48
-    assert "batch8_vs_batch1" in snapshot["summary"]
-    for case in snapshot["cases"].values():
-        assert case["throughput_rps"] > 0
-        assert case["p50_ms"] <= case["p99_ms"] <= case["max_ms"]
+def _samples(count):
+    return np.random.default_rng(0).random((count, 28, 28))
+
+
+def _require_opt_in(request, what):
+    if not (request.config.getoption("--benchmark-only")
+            or os.environ.get("REPRO_RUN_TABLE_BENCHES")):
+        pytest.skip(f"{what} (enable with --benchmark-only or "
+                    "REPRO_RUN_TABLE_BENCHES=1)")
 
 
 def test_bench_serving_acceptance(request):
-    explicitly_enabled = (
-        request.config.getoption("--benchmark-only")
-        or os.environ.get("REPRO_RUN_TABLE_BENCHES")
-    )
-    if not explicitly_enabled:
-        pytest.skip(
-            "serving throughput bench (enable with --benchmark-only or "
-            "REPRO_RUN_TABLE_BENCHES=1)"
-        )
-    snapshot = benchmark_serving(
-        model=_serving_model(), n_requests=768, concurrency=64,
-        batch_sizes=(1, 8, ACCEPTANCE_BATCH), shard_counts=(1, 2),
-    )
+    _require_opt_in(request, "serving throughput bench")
+    model, samples = _serving_model(), _samples(64)
+    cases = {}
+    for batch in (1, ACCEPTANCE_BATCH):
+        config = ServeConfig(precision="double", max_batch=batch,
+                             max_delay=0.005)
+        with Server(model=model, config=config) as server:
+            server.warmup()
+            cases[batch] = run_load(
+                lambda sample: server.submit("predict", sample).result(),
+                samples, n_requests=768, concurrency=64)
+            cases[batch]["batcher"] = server.stats()["batcher"]
+    speedup = cases[ACCEPTANCE_BATCH]["throughput_rps"] \
+        / cases[1]["throughput_rps"]
     report("")
     report(f"Serving throughput (n={ACCEPTANCE_N}, double, 64 clients):")
-    for label, case in snapshot["cases"].items():
-        report(f"  {label:<28} {case['throughput_rps']:>9.1f} req/s  "
-               f"p50 {case['p50_ms']:7.2f} ms  p99 {case['p99_ms']:7.2f} ms")
-    for label, value in sorted(snapshot["summary"].items()):
-        report(f"  {label}: {value:.2f}x")
-    speedup = snapshot["summary"][f"batch{ACCEPTANCE_BATCH}_vs_batch1"]
+    for batch, case in cases.items():
+        report(f"  server_batch{batch:<16} {case['throughput_rps']:>9.1f} "
+               f"req/s  p50 {case['p50_ms']:7.2f} ms  "
+               f"p99 {case['p99_ms']:7.2f} ms")
+    report(f"  batch{ACCEPTANCE_BATCH}_vs_batch1: {speedup:.2f}x")
     # The acceptance criterion: micro-batching >= 2x one-at-a-time.
     assert speedup >= 2.0, (
         f"batch-{ACCEPTANCE_BATCH} coalescing only {speedup:.2f}x over "
         "one-request-at-a-time serving"
     )
-    # Requests must never be answered from a stale or mixed batch: the
-    # sweep's own per-case batcher counters prove full coalescing ran.
-    batched = snapshot["cases"][f"server_batch{ACCEPTANCE_BATCH}"]
-    assert batched["batcher"]["max_batch"] == ACCEPTANCE_BATCH
+    # The batcher's own counters prove full coalescing ran.
+    assert cases[ACCEPTANCE_BATCH]["batcher"]["max_batch"] \
+        == ACCEPTANCE_BATCH
+
+
+def test_bench_replica_kill_retains_throughput(request, tmp_path):
+    _require_opt_in(request, "replica-kill throughput bench")
+    model, samples = _serving_model(), _samples(32)
+    artifact = ModelStore(tmp_path).save("bench-n20", model)
+    reference = model.inference_engine(precision="double").predict(samples)
+    cases = {}
+    for label, faults in (("no_fault", None),
+                          ("kill_one_replica", "kill:replica=1,after=5")):
+        config = ServeConfig(precision="double", max_batch=8,
+                             max_delay=0.005, faults=faults)
+        with deployment(config, artifact, replicas=3) as (router, load):
+            stats, verdict = verified_load(
+                samples=samples, n_requests=192, concurrency=16,
+                reference=reference, **load)
+            stats.update(verdict, respawns=router.health()["restarts"])
+        cases[label] = stats
+    retained = cases["kill_one_replica"]["throughput_rps"] \
+        / cases["no_fault"]["throughput_rps"]
+    report("")
+    report(f"Replica kill (3 replicas, n={ACCEPTANCE_N}, 16 clients):")
+    for label, case in cases.items():
+        report(f"  {label:<22} {case['throughput_rps']:>9.1f} req/s  "
+               f"p99 {case['p99_ms']:7.2f} ms  "
+               f"respawns {case['respawns']}")
+    report(f"  kill_one_replica_vs_no_fault: {retained:.2f}x")
+    for label, case in cases.items():
+        assert case["byte_identical"], (label, case["mismatches"])
+    assert cases["kill_one_replica"]["recovered"], cases["kill_one_replica"]
+    assert retained >= 0.6, (
+        f"only {retained:.2f}x throughput retained through a replica kill"
+    )
 
 
 def test_served_predictions_equal_serial(tmp_path):
     """The timing claims count only because results are unchanged:
     artifact round trip + batched + sharded serving vs serial predict."""
-    from repro.serve import ModelStore, ServeConfig, Server
-
     model = _serving_model()
     images = spawn_rng(22).random((17, 28, 28))
     serial = np.stack([model.predict(image[None])[0] for image in images])

@@ -662,6 +662,22 @@ def _serve_config(args, host=None, port=None):
     return ServeConfig(**kwargs)
 
 
+def _bad_hedge_ms(args) -> bool:
+    """``--hedge-ms`` only acts in the router and must be > 0: report
+    (and refuse) it rather than ignore it or fail after spawning
+    replicas."""
+    if args.hedge_ms is None:
+        return False
+    if args.replicas <= 1:
+        problem = "needs --replicas > 1 (hedging happens in the router)"
+    elif not args.hedge_ms > 0:
+        problem = f"must be > 0, got {args.hedge_ms}"
+    else:
+        return False
+    print(f"--hedge-ms {problem}", file=sys.stderr)
+    return True
+
+
 def _park_until_interrupted() -> None:
     """Park the main thread while the frontend accepts on its own
     thread; returns on Ctrl-C.  ``time.sleep`` is reliably interruptible
@@ -702,6 +718,8 @@ def _serve_cluster(args, artifact) -> int:
 def _cmd_serve(args) -> int:
     from .serve import Server, resolve_artifact
 
+    if _bad_hedge_ms(args):
+        return 2
     artifact = resolve_artifact(args.model)
     if args.replicas > 1:
         return _serve_cluster(args, artifact)
@@ -731,6 +749,8 @@ def _cmd_bench_serve(args) -> int:
 
     from .serve import http_sender, run_load, write_snapshot
 
+    if _bad_hedge_ms(args):
+        return 2
     rng = np.random.default_rng(0)
     samples = rng.random((64, 28, 28))
 

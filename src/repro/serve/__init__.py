@@ -21,8 +21,8 @@ The serving story on top of :mod:`repro.runtime`:
   least-loaded routing, bounded byte-identical failover, per-replica
   circuit breakers and optional request hedging
   (``repro serve --replicas N``).
-* :mod:`repro.serve.bench` — the load generator behind
-  ``repro bench-serve`` and ``benchmarks/BENCH_serving.json``.
+* :mod:`repro.serve.bench` — the load generator and chaos harness
+  behind ``repro bench-serve``.
 
 Fault tolerance rides through the whole stack: the pool supervises its
 shards (respawn + bounded retry + quarantine, see
@@ -30,22 +30,14 @@ shards (respawn + bounded retry + quarantine, see
 (:class:`~repro.serve.errors.DeadlineExceeded` → 504), the server sheds
 load beyond ``max_inflight`` (:class:`~repro.serve.errors.Overloaded` →
 429) and drains gracefully (503), and :class:`~repro.serve.faults.FaultPlan`
-injects deterministic chaos (kill/delay/error) for tests and the
-``BENCH_serving.json`` fault-recovery grid.
+injects deterministic chaos (kill/delay/error) for tests and
+``repro bench-serve --faults``.
 
 See ``docs/serving.md`` for the architecture and the artifact format.
 """
 
 from .batching import MicroBatcher
-from .bench import (
-    benchmark_fault_recovery,
-    benchmark_replica_recovery,
-    benchmark_serving,
-    http_sender,
-    run_load,
-    verified_load,
-    write_snapshot,
-)
+from .bench import http_sender, run_load, verified_load, write_snapshot
 from .cluster import ReplicaSet
 from .errors import (
     DeadlineExceeded,
@@ -79,9 +71,6 @@ __all__ = [
     "RouterConfig",
     "MEMBER_STATES",
     "BREAKER_STATES",
-    "benchmark_fault_recovery",
-    "benchmark_replica_recovery",
-    "benchmark_serving",
     "http_sender",
     "run_load",
     "verified_load",

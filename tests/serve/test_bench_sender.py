@@ -157,8 +157,11 @@ class TestHTTPSenderRetries:
             send(SAMPLE)
         assert server.requests == 1
 
-    def test_garbage_retry_after_falls_back_to_backoff(self, scripted):
-        server = scripted([(429, {"Retry-After": "soon"})])
+    @pytest.mark.parametrize("retry_after", ["soon", "-1", "nan"])
+    def test_garbage_retry_after_falls_back_to_backoff(self, scripted,
+                                                       retry_after):
+        # Not a finite number >= 0: time.sleep would raise on -1/NaN.
+        server = scripted([(429, {"Retry-After": retry_after})])
         send = http_sender(server.url, max_retries=1, backoff=0.01)
         assert send(SAMPLE)["predictions"] == [7]
         assert server.requests == 2

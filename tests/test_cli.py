@@ -150,6 +150,18 @@ class TestCommands:
                      "--check"]) == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "bench-serve"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--hedge-ms", "20"], "--hedge-ms needs --replicas > 1"),
+        (["--hedge-ms", "-5"], "--hedge-ms needs --replicas > 1"),
+        (["--replicas", "2", "--hedge-ms", "-5"], "--hedge-ms must be > 0"),
+    ])
+    def test_bad_hedge_is_rejected(self, capsys, command, flags, message):
+        # Hedging lives in the router: the flag must refuse, before any
+        # replica starts, rather than be silently dropped or crash.
+        assert main([command, "--model", "missing.npz", *flags]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_json_config_reproduces_recipe_output(self, capsys, tmp_path):
