@@ -58,8 +58,10 @@ class InferenceEngine:
         Largest number of samples propagated at once; bigger inputs are
         streamed in chunks of this size.  The chunk bounds memory: the
         engine's scratch holds ``max_batch * n * padded_n`` complex
-        elements.  It does not set FFT speed; cache blocking lives in
-        the hop (:func:`repro.backend.hop.propagate_rows`).
+        elements.  Cache blocking lives in the hop
+        (:func:`repro.backend.hop.propagate_rows`), but a chunk is one
+        hop's batch, so it also bounds how many cache blocks a hop can
+        spread over the FFT threads.
     buffers:
         Optional shared :class:`ScratchBuffers` pool (so many short-lived
         engines over one model reuse the same scratch memory).

@@ -3,15 +3,19 @@ child launcher pins its process to one FFT thread, so FFT threads x
 processes stay within the CPUs."""
 
 import os
+import select
+import signal
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.backend import backend_name, dispatch, get_precision
+from repro.backend import backend_name, dispatch, get_precision, hop
 from repro.donn import DONN, DONNConfig
 from repro.pipeline.runner import SupervisedPool, _init_worker
 from repro.serve import ShardedPool
@@ -119,3 +123,43 @@ class TestChildren:
         )
         outcomes = pool.run([None, None])
         assert [outcome.result for outcome in outcomes] == [1, 1]
+
+
+class TestFork:
+    def test_forked_child_spreads_a_hop(self, monkeypatch, spy_fft_threads):
+        # The parent's multi-block hop builds the shared helper pool.
+        rng = spawn_rng(0)
+        n, pad, side = 8, 8, 24
+        rows = (rng.standard_normal((7, n, side))
+                + 1j * rng.standard_normal((7, n, side)))
+        h = rng.standard_normal((side, side)) + 0j
+        monkeypatch.setattr(hop, "_BLOCK_BYTES", side * side * 16)
+        dispatch.set_workers(2)
+        expected = hop.propagate_rows(rows, h, pad)
+        assert hop._HELPERS is not None
+
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Forking a process that runs threads is the point here.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child keeps the parent's two-thread budget
+            try:
+                os.close(read)
+                threads = spy_fft_threads(split=True)
+                out = hop.propagate_rows(rows, h, pad)
+                ok = np.array_equal(out, expected) and len(threads) > 1
+                os.write(write, b"1" if ok else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        ready = []
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            assert ready, "the forked child's hop hung"
+            assert os.read(read, 1) == b"1"
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
