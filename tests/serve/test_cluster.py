@@ -194,6 +194,35 @@ class TestClusterServing:
                 router.stop()
 
 
+class TestStartupFailure:
+    def test_child_dying_before_ready_is_quarantined(self, tmp_path):
+        # The child cannot load the artifact, so it dies before its
+        # ready handshake: one strike against a budget of zero.
+        import multiprocessing
+
+        corrupt_artifact = tmp_path / "corrupt.npz"
+        corrupt_artifact.write_bytes(b"not a model artifact")
+        replica_set = ReplicaSet(str(corrupt_artifact), replicas=1,
+                                 max_restarts=0)
+        verdicts = []
+        stop = replica_set.stop
+
+        def record_then_stop():
+            # start() gives up through stop(), which marks every
+            # replica stopped: read the supervisor's verdict first.
+            verdicts.extend(replica_set.stats()["replicas"])
+            stop()
+
+        replica_set.stop = record_then_stop
+        with pytest.raises(RuntimeError, match="r0"):
+            replica_set.start()
+        assert [(r["id"], r["state"], r["restarts"]) for r in verdicts] \
+            == [("r0", "quarantined", 1)]
+        assert replica_set.stats()["restarts"] == 1
+        assert not any(child.name == "repro-replica-r0"
+                       for child in multiprocessing.active_children())
+
+
 class TestStopDuringRespawn:
     def test_launch_finishing_after_stop_leaves_no_child(self, artifact):
         # A respawn thread still starting its replica when stop() runs
