@@ -252,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="engine workers (each holds one engine)")
         p.add_argument("--backend", choices=("thread", "process"),
                        default="thread")
-        p.add_argument("--cache-size", type=int, default=0,
-                       help="LRU result-cache entries for repeated "
-                            "identical requests (0 disables)")
         p.add_argument("--max-inflight", type=int, default=None,
                        metavar="N",
                        help="admission window: requests beyond N "
@@ -650,7 +647,6 @@ def _serve_config(args, host=None, port=None):
         max_delay=args.max_delay_ms / 1e3,
         shards=args.shards,
         backend=args.backend,
-        cache_size=args.cache_size,
         max_inflight=args.max_inflight,
         default_deadline_ms=args.deadline_ms,
         faults=args.faults,
@@ -735,8 +731,7 @@ def _cmd_serve(args) -> int:
               f"{frontend.url}")
         print(f"  precision={server_info['precision']} "
               f"max_batch={args.max_batch} "
-              f"shards={args.shards} backend={args.backend} "
-              f"cache_size={args.cache_size}")
+              f"shards={args.shards} backend={args.backend}")
         print("  POST /v1/predict | /v1/logits | /v1/intensity ; "
               "GET /healthz | /v1/model   (Ctrl-C stops)")
         _park_until_interrupted()  # Server.stop on exit ends the accept loop
@@ -813,15 +808,19 @@ def _bench_serve_model(args, samples) -> Optional[dict]:
         snapshot = {"target": str(artifact), "load": stats}
         if cluster:
             stats["replicas"] = snapshot["replicas"] = args.replicas
+            counts = target.metrics.as_dict()
+            hedges = {outcome: int(counts.get(
+                f'repro_router_hedges_total{{outcome="{outcome}"}}', 0))
+                for outcome in ("won", "lost")}
+            failovers = int(counts.get("repro_router_failovers_total", 0))
+            snapshot["router"] = {"hedges": hedges, "failovers": failovers}
         else:
             stats["batcher"] = target.stats()["batcher"]
         if plan:
             health = stats["health"] = target.health()
             if cluster:
-                failovers = target.stats()["counters"].get(
-                    "repro_router_failovers_total", 0)
                 detail = (f"replica respawns {health['restarts']}, "
-                          f"failovers {int(failovers)}, "
+                          f"failovers {failovers}, "
                           f"quarantined {health['quarantined']}")
             else:
                 detail = (f"restarts {health['restarts']}, "

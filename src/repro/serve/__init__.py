@@ -51,7 +51,7 @@ from .errors import (
 from .faults import FaultPlan, FaultSpec
 from .http import HTTPFrontend
 from .router import BREAKER_STATES, MEMBER_STATES, Router, RouterConfig
-from .server import ResultCache, ServeConfig, Server
+from .server import ServeConfig, Server
 from .store import ModelStore, resolve_artifact
 from .workers import REQUEST_KINDS, SHARD_STATES, ShardedPool
 
@@ -64,7 +64,6 @@ __all__ = [
     "SHARD_STATES",
     "Server",
     "ServeConfig",
-    "ResultCache",
     "HTTPFrontend",
     "ReplicaSet",
     "Router",

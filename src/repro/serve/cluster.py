@@ -4,13 +4,16 @@ A :class:`ReplicaSet` runs N full :class:`~repro.serve.Server` replicas,
 each in its own **spawned child process** with its own shard pool,
 metrics registry and HTTP port — the unit of failure is the whole
 serving process, exactly what PR 6's shard supervision could not cover.
-The parent supervises like :class:`~repro.serve.workers.ShardedPool`
-supervises shards: a monitor thread notices death (``Process.is_alive``
-going false — SIGKILL, ``os._exit``, OOM), respawns the replica under
-the same stable ``replica_id`` on a fresh ephemeral port, and
-quarantines it after ``max_restarts`` respawns.  Membership decisions
-(who receives traffic) belong to :class:`~repro.serve.router.Router`,
-which re-reads :meth:`endpoints` before every probe round.
+The parent supervises with the shard pool's state machine,
+:class:`~repro.serve.workers.Supervisor` (restart budget, kill
+consumption, settle wait, health rollup).  Its own are how it notices
+a death — a monitor thread sees ``Process.is_alive`` go false
+(SIGKILL, ``os._exit``, OOM) — and how it rebuilds: a fresh spawned
+child under the same stable ``replica_id`` on a new ephemeral port.  A
+child that dies before its ready handshake is a strike that consumes
+no kill.  Membership decisions (who receives traffic) belong to
+:class:`~repro.serve.router.Router`, which re-reads :meth:`endpoints`
+before every probe round.
 
 Replica lifecycle::
 
@@ -25,7 +28,7 @@ Chaos: ``kill:replica=<i>,after=<k>`` specs in the replica's
 ``os._exit(17)`` on its ``k``-th *submitted request* (counted before
 admission).  On respawn the parent hands the child a plan with that
 kill consumed (:meth:`FaultPlan.without_kill` with ``scope="replica"``)
-— one configured kill, exactly one death, mirroring shard semantics.
+— one configured kill, exactly one death, as for shards.
 
 Children are **spawned**, not forked: the parent runs probe/monitor
 threads and a live HTTP stack, none of which may leak into a child.
@@ -36,13 +39,13 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import threading
-import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..backend import set_workers
 from .faults import FaultPlan, ShardFaultState, kill_process
 from .server import ServeConfig, Server
+from .workers import Member, Supervisor, rollup
 
 __all__ = ["ReplicaSet"]
 
@@ -94,19 +97,16 @@ def _replica_main(conn, artifact: str, config: ServeConfig,
         pass
 
 
-class _Replica:
-    """Parent-side record of one replica process."""
+class _Replica(Member):
+    """Parent-side record of one replica process; its state is one of
+    starting | ok | respawning | quarantined | stopped."""
 
-    def __init__(self, index: int, replica_id: str) -> None:
-        self.index = index
-        self.id = replica_id
-        # starting | ok | respawning | quarantined | stopped
-        self.state = "starting"
-        self.restarts = 0
+    def __init__(self, index: int, plan: Optional[FaultPlan]) -> None:
+        super().__init__(index, plan, state="starting")
+        self.id = f"r{index}"
         self.proc = None
         self.conn = None
         self.port: Optional[int] = None
-        self.plan: Optional[FaultPlan] = None
 
     @property
     def url(self) -> Optional[str]:
@@ -125,7 +125,7 @@ class _Replica:
         }
 
 
-class ReplicaSet:
+class ReplicaSet(Supervisor):
     """Supervise N process-backed Server replicas.
 
     ``config`` is the per-replica :class:`ServeConfig` (each child gets
@@ -143,21 +143,14 @@ class ReplicaSet:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.artifact = str(artifact)
         self.config = config or ServeConfig()
-        self.max_restarts = int(max_restarts)
         self.start_timeout = float(start_timeout)
         self._ctx = multiprocessing.get_context("spawn")
-        self._lock = threading.Lock()
-        self._replicas = [
-            _Replica(index, f"r{index}") for index in range(replicas)
-        ]
         plan = self.config.resolved_faults()
-        for replica in self._replicas:
-            replica.plan = plan
+        self._replicas = [_Replica(index, plan) for index in range(replicas)]
+        super().__init__(self._replicas, max_restarts, scope="replica")
         self._started = False
         self._draining = False
-        self._stop_event = threading.Event()
         self._monitor: Optional[threading.Thread] = None
-        self._settled = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -214,9 +207,8 @@ class ReplicaSet:
         proc.start()
         child_conn.close()
         ready = parent_conn.poll(self.start_timeout)
-        retry = False
         with self._lock:
-            if self._stop_event.is_set():
+            if self._closed:
                 # stop() ran while this replica was starting; a child it
                 # never saw would park forever and hang interpreter exit.
                 proc.kill()
@@ -235,82 +227,59 @@ class ReplicaSet:
                 if message == "ready":
                     replica.port = port
                     replica.state = "ok"
-                    self._settled.notify_all()
+                    self._changed.notify_all()
                     return
-            # Startup failure (died during warmup, or hung): another
-            # strike against the restart budget.
+            # Startup failure (died during warmup, or hung): a strike
+            # that consumes no kill, since no request reached the child.
             replica.port = None
-            replica.restarts += 1
-            if replica.restarts > self.max_restarts or \
-                    self._stop_event.is_set():
-                replica.state = "quarantined"
-            else:
-                replica.state = "respawning"
-                retry = True
-            self._settled.notify_all()
+            retry = self._strike(replica, consume_kill=False)
         if proc.is_alive():
             proc.kill()
         if retry:
             self._launch(replica)
 
     def _monitor_loop(self) -> None:
-        """Notice dead replicas and respawn (or quarantine) them."""
-        while not self._stop_event.wait(0.05):
-            with self._lock:
+        """Notice dead replicas every 50 ms and strike them."""
+        with self._changed:
+            while not self._changed.wait_for(lambda: self._closed, 0.05):
                 if self._draining:
                     continue  # shutting down: let the dead stay dead
-                dead = [
-                    replica for replica in self._replicas
-                    if replica.state == "ok" and replica.proc is not None
-                    and not replica.proc.is_alive()
-                ]
-                for replica in dead:
-                    replica.restarts += 1
-                    if replica.restarts > self.max_restarts:
-                        replica.state = "quarantined"
+                for replica in self._replicas:
+                    if replica.state == "ok" and not replica.proc.is_alive():
                         replica.port = None
-                        self._settled.notify_all()
-                    else:
-                        replica.state = "respawning"
-                        replica.port = None
-                        # The fired kill (if the plan caused this death)
-                        # is consumed so the successor survives.
-                        if replica.plan is not None:
-                            replica.plan = replica.plan.without_kill(
-                                replica.index, scope="replica")
-            for replica in dead:
-                if replica.state == "respawning":
-                    threading.Thread(
-                        target=self._launch, args=(replica,),
-                        name=f"repro-replica-respawn-{replica.id}",
-                    ).start()
+                        if self._strike(replica):
+                            threading.Thread(
+                                target=self._launch, args=(replica,),
+                                name=f"repro-replica-respawn-{replica.id}",
+                            ).start()
 
     def stop(self) -> None:
         """Stop the monitor, ask children to exit, reap stragglers."""
         atexit.unregister(self.stop)
-        self._stop_event.set()
+        self._close()
         if self._monitor is not None:
             self._monitor.join(timeout=10)
             self._monitor = None
-        with self._lock:
-            replicas = list(self._replicas)
-        for replica in replicas:
+        for replica in self._replicas:
             if replica.conn is not None:
                 try:
                     replica.conn.send("stop")
                 except (BrokenPipeError, OSError):
                     pass
-        for replica in replicas:
+        for replica in self._replicas:
             if replica.proc is not None:
                 replica.proc.join(timeout=10)
                 if replica.proc.is_alive():
                     replica.proc.kill()
                     replica.proc.join(timeout=5)
-            if replica.conn is not None:
-                replica.conn.close()
-                replica.conn = None
-            replica.state = "stopped"
-            replica.port = None
+        with self._changed:
+            for replica in self._replicas:
+                if replica.conn is not None:
+                    replica.conn.close()
+                    replica.conn = None
+                replica.state = "stopped"
+                replica.port = None
+            self._changed.notify_all()
 
     def __enter__(self) -> "ReplicaSet":
         return self.start()
@@ -376,30 +345,9 @@ class ReplicaSet:
         """Supervisor-level health: ``ok`` (all replicas serving),
         ``degraded`` (some), ``unhealthy`` (none)."""
         stats = self.stats()
-        serving = sum(1 for replica in stats["replicas"]
-                      if replica["state"] == "ok")
-        if self._draining:
-            status = "draining"
-        elif serving == len(stats["replicas"]):
-            status = "ok"
-        elif serving > 0:
-            status = "degraded"
-        else:
-            status = "unhealthy"
-        return {"status": status, "serving": serving, **stats}
-
-    def settle(self, timeout: float = 60.0) -> bool:
-        """Wait until no replica is starting/respawning — chaos tests
-        call this after a kill; ``True`` when the set settled."""
-        deadline = time.monotonic() + timeout
-        with self._settled:
-            while any(replica.state in ("starting", "respawning")
-                      for replica in self._replicas):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._settled.wait(min(remaining, 0.25))
-            return True
+        states = [replica["state"] for replica in stats["replicas"]]
+        status = "draining" if self._draining else rollup(states)
+        return {"status": status, "serving": states.count("ok"), **stats}
 
     def __repr__(self) -> str:
         with self._lock:

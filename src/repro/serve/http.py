@@ -10,8 +10,10 @@ two share (response writing, ``/healthz``, ``/metrics``,
 ``/admin/drain``, the 404 envelope and the request-framing guard),
 and each subclass adds only its own routes.  Every accepted socket has
 ``TCP_NODELAY`` set, so a response's header and body writes leave at
-once instead of waiting out the client's delayed ACK.  :func:`fetch` is
-the one-shot client call the router probes with (it forwards over
+once instead of waiting out the client's delayed ACK.  A client that
+hangs up before its answer costs one log line and one count in
+``repro_http_client_disconnects_total``, not a traceback.  :func:`fetch`
+is the one-shot client call the router probes with (it forwards over
 pooled keep-alive connections instead).
 
 Endpoints
@@ -52,8 +54,10 @@ re-saturate the admission window (thundering herd).
 from __future__ import annotations
 
 import json
+import logging
 import math
 import random
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -72,6 +76,8 @@ from .errors import (
 
 __all__ = ["HTTPFrontend", "JSONHandler", "fetch", "jittered_retry_after",
            "RETRY_AFTER_JITTER"]
+
+_log = logging.getLogger(__name__)
 
 #: ``Retry-After`` jitter band: responses draw uniformly from
 #: ``[low, high) x suggested``.  Tests enforce this range.
@@ -345,6 +351,18 @@ class _ThreadingServer(ThreadingHTTPServer):
     # connection); each dropped SYN stalls its client ~1 s on retransmit.
     request_queue_size = 128
 
+    def handle_error(self, request, client_address) -> None:
+        """A client that hung up before its answer is counted and
+        logged in one line; any other failure keeps the stdlib
+        traceback."""
+        exc = sys.exc_info()[1]
+        if not isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+            super().handle_error(request, client_address)
+            return
+        self.disconnects.inc()
+        _log.warning("client %s disconnected before its answer (%s)",
+                     client_address, exc)
+
 
 class HTTPFrontend:
     """Serve ``app`` over HTTP on a daemon thread.
@@ -359,6 +377,9 @@ class HTTPFrontend:
                  handler: Type[JSONHandler] = _Handler) -> None:
         self.httpd = _ThreadingServer((host, port), handler)
         self.httpd.app = app
+        self.httpd.disconnects = app.metrics.counter(
+            "repro_http_client_disconnects_total",
+            "Connections the client closed before its answer was sent.")
         self._thread: threading.Thread | None = None
 
     @property

@@ -65,6 +65,7 @@ from urllib.parse import urlsplit
 from ..obs.metrics import MetricsRegistry
 from ..utils.backoff import Backoff
 from .http import HTTPFrontend, JSONHandler, fetch, jittered_retry_after
+from .workers import rollup
 
 __all__ = [
     "Router",
@@ -743,16 +744,10 @@ class Router:
         with self._lock:
             draining = self._draining
             members = self._members_as_dicts()
-        routable = sum(1 for member in members
-                       if member["state"] in ("ok", "suspect"))
-        if draining:
-            status = "draining"
-        elif not members or routable == 0:
-            status = "unhealthy"
-        elif all(member["state"] == "ok" for member in members):
-            status = "ok"
-        else:
-            status = "degraded"
+        states = [member["state"] for member in members]
+        routable = sum(state in ("ok", "suspect") for state in states)
+        status = "draining" if draining \
+            else rollup(states, up=("ok", "suspect"))
         payload: Dict[str, Any] = {
             "status": status,
             "role": "router",

@@ -25,13 +25,10 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import os
 import tempfile
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -45,7 +42,7 @@ from .faults import FaultPlan
 from .store import resolve_artifact
 from .workers import REQUEST_KINDS, ShardedPool
 
-__all__ = ["ServeConfig", "Server", "ResultCache"]
+__all__ = ["ServeConfig", "Server"]
 
 
 def _package_version() -> Optional[str]:
@@ -67,12 +64,6 @@ class ServeConfig:
     ``precision=None`` (the default) means "whatever the artifact was
     trained at": the artifact header's recorded training precision, or
     ``"double"`` when it carries none (and for live models).
-
-    ``cache_size`` > 0 enables a small LRU result cache keyed by the
-    request's input bytes: repeated identical requests short-circuit the
-    batcher/engine entirely (hits are byte-identical to misses,
-    test-enforced).  Off by default so throughput benchmarks measure the
-    engine, not the cache.
 
     Fault tolerance (see ``docs/serving.md``):
 
@@ -98,7 +89,6 @@ class ServeConfig:
     backend: str = "thread"
     host: str = "127.0.0.1"
     port: int = 8000
-    cache_size: int = 0
     max_inflight: Optional[int] = None
     default_deadline_ms: Optional[float] = None
     max_retries: int = 3
@@ -112,81 +102,6 @@ class ServeConfig:
         if self.faults is not None:
             return FaultPlan.parse(self.faults)
         return FaultPlan.from_env()
-
-
-def _cache_instruments(metrics: MetricsRegistry):
-    """The result cache's hit and miss counters and entries gauge."""
-    return (
-        metrics.counter("repro_cache_hits_total", "Result-cache hits."),
-        metrics.counter("repro_cache_misses_total", "Result-cache misses."),
-        metrics.gauge("repro_cache_entries",
-                      "Rows currently in the result cache."),
-    )
-
-
-class ResultCache:
-    """A tiny thread-safe LRU of request results keyed by input bytes.
-
-    The key is ``(kind, shape, dtype, sha1(input bytes))``, so two
-    requests only collide when their payloads are byte-identical — in
-    which case the engine is deterministic and the cached row *is* the
-    row the engine would produce.  Stored rows are private read-only
-    copies taken *before* the caller's future resolves, and hits are
-    delivered as fresh writeable copies — so a caller mutating its
-    result can never poison later hits, and hit rows behave exactly
-    like miss rows.
-
-    Hits and misses are counted into ``metrics`` (``None``: a private
-    registry), which :meth:`stats` reads back.
-    """
-
-    def __init__(self, max_entries: int,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        if max_entries < 1:
-            raise ValueError(
-                f"cache size must be >= 1, got {max_entries}"
-            )
-        self.max_entries = int(max_entries)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_hits, self._m_misses, self._m_entries = \
-            _cache_instruments(self.metrics)
-        self.metrics.add_collector(
-            lambda: self._m_entries.set(len(self._entries)))
-
-    @staticmethod
-    def make_key(kind: str, sample: np.ndarray) -> tuple:
-        sample = np.ascontiguousarray(sample)
-        digest = hashlib.sha1(sample.tobytes()).digest()
-        return (kind, sample.shape, sample.dtype.str, digest)
-
-    def get(self, key: tuple) -> Optional[np.ndarray]:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self._m_misses.inc()
-                return None
-            self._m_hits.inc()
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: tuple, value: np.ndarray) -> None:
-        value = np.array(value, copy=True)
-        value.flags.writeable = False
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": int(self._m_hits.value()),
-            "misses": int(self._m_misses.value()),
-            "size": len(self._entries),
-            "max_entries": self.max_entries,
-        }
 
 
 class Server:
@@ -229,7 +144,6 @@ class Server:
         self._model = model
         self._metadata = dict(metadata or {})
         self._pool: Optional[ShardedPool] = None
-        self._cache: Optional[ResultCache] = None
         self._batcher: Optional[MicroBatcher] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -241,8 +155,8 @@ class Server:
         self._inflight = 0
         self._lock = threading.Lock()
         # Per-deployment registry: two Servers in one process must never
-        # double-count, so each owns its own (the pool, batcher and
-        # cache register their instruments here in start()).  It is the
+        # double-count, so each owns its own (the pool and batcher
+        # register their instruments here in start()).  It is the
         # only store of the serving tallies; stats() reads it back.
         self.metrics = MetricsRegistry()
         self._m_requests = self.metrics.counter(
@@ -264,7 +178,6 @@ class Server:
         self._m_inflight = self.metrics.gauge(
             "repro_server_inflight",
             "Admitted requests not yet resolved.")
-        _cache_instruments(self.metrics)  # exported even with caching off
         self.metrics.add_collector(
             lambda: self._m_inflight.set(self._inflight))
 
@@ -293,10 +206,6 @@ class Server:
                 max_retries=cfg.max_retries,
                 max_restarts=cfg.max_restarts,
                 metrics=self.metrics,
-            )
-            self._cache = (
-                ResultCache(cfg.cache_size, metrics=self.metrics)
-                if cfg.cache_size > 0 else None
             )
             self._loop = asyncio.new_event_loop()
             self._loop_thread = threading.Thread(
@@ -351,7 +260,7 @@ class Server:
             loop.call_soon_threadsafe(loop.stop)
             self._loop_thread.join(timeout=10)
             loop.close()
-            self._loop = self._batcher = self._pool = self._cache = None
+            self._loop = self._batcher = self._pool = None
         if self._owns_artifact and self.artifact is not None:
             self._owns_artifact = False
             try:
@@ -398,10 +307,6 @@ class Server:
         the window raises :class:`~repro.serve.errors.Overloaded`
         immediately (shed early, not after queueing); a draining server
         raises :class:`~repro.serve.errors.Draining`.
-
-        With ``cache_size`` enabled, a byte-identical repeat of an
-        earlier request resolves immediately from the LRU result cache
-        without touching the batcher or an engine.
         """
         self.start()
         with self._lock:
@@ -448,46 +353,12 @@ class Server:
                 self._m_deadline.inc()
 
         try:
-            future = self._submit_inner(batcher, kind, sample, deadline)
+            future = batcher.submit_nowait(kind, sample, deadline=deadline)
         except BaseException:
             with self._lock:
                 self._inflight -= 1
             raise
         future.add_done_callback(_admit_done)
-        return future
-
-    def _submit_inner(self, batcher, kind: str, sample,
-                      deadline: Optional[float]):
-        cache = self._cache
-        if cache is None:
-            return batcher.submit_nowait(kind, sample, deadline=deadline)
-        sample = np.asarray(getattr(sample, "data", sample))
-        key = ResultCache.make_key(kind, sample)
-        hit = cache.get(key)
-        if hit is not None:
-            resolved: Future = Future()
-            # A fresh writeable copy per hit: callers may mutate their
-            # row in place, exactly as they can on the miss path.
-            resolved.set_result(np.array(hit, copy=True))
-            return resolved
-        inner = batcher.submit_nowait(kind, sample, deadline=deadline)
-        future: Future = Future()
-
-        def _deliver(done) -> None:
-            # Runs on the worker thread delivering the batch.  The row
-            # is copied into the cache *before* the outer future
-            # resolves — a client waking from result() and mutating its
-            # row in place cannot race the cache copy.  Failed requests
-            # are simply not cached.
-            try:
-                row = done.result()
-            except BaseException as exc:  # noqa: BLE001 — forwarded
-                future.set_exception(exc)
-                return
-            cache.put(key, np.asarray(row))
-            future.set_result(row)
-
-        inner.add_done_callback(_deliver)
         return future
 
     def _request(self, kind: str, inputs,
@@ -551,7 +422,6 @@ class Server:
         info: Dict[str, Any] = {
             "artifact": str(self.artifact) if self.artifact else None,
             "precision": self.resolved_precision(),
-            "cache_size": cfg.cache_size,
             "max_batch": cfg.max_batch,
             "max_delay": cfg.max_delay,
             "shards": cfg.shards,
@@ -577,28 +447,24 @@ class Server:
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe snapshot with a fixed shape: ``started``,
-        ``batcher`` / ``pool`` / ``cache`` sub-dicts (``None`` before
-        :meth:`start`, and for ``cache`` when caching is off), plus a
-        merged flat ``counters`` dict — the admission, batcher, cache
+        ``batcher`` / ``pool`` sub-dicts (``None`` before :meth:`start`),
+        plus a merged flat ``counters`` dict — the admission, batcher
         and supervision tallies in one place, read from :attr:`metrics`.
         """
         with self._lock:
             started = self._started
-            batcher, pool, cache = self._batcher, self._pool, self._cache
+            batcher, pool = self._batcher, self._pool
             inflight = self._inflight
         rejects = self._m_rejects
         batcher_stats = batcher.stats() if batcher else None
         pool_stats = pool.stats() if pool else None
-        cache_stats = cache.stats() if cache else None
         counters: Dict[str, Any] = {
-            # "requests" counts admission (cache hits included);
-            # "batched" only what reached the micro-batcher.
+            # "requests" counts admission; "batched" only what reached
+            # the micro-batcher.
             "requests": int(self._m_requests.total()),
             "batched": batcher_stats["requests"] if batcher_stats else 0,
             "batches": batcher_stats["batches"] if batcher_stats else 0,
             "expired": batcher_stats["expired"] if batcher_stats else 0,
-            "cache_hits": cache_stats["hits"] if cache_stats else 0,
-            "cache_misses": cache_stats["misses"] if cache_stats else 0,
             "failures": pool_stats["failures"] if pool_stats else 0,
             "retries": pool_stats["retries"] if pool_stats else 0,
             "restarts": sum(pool_stats["restarts"]) if pool_stats else 0,
@@ -611,7 +477,6 @@ class Server:
             "started": started,
             "batcher": batcher_stats,
             "pool": pool_stats,
-            "cache": cache_stats,
             "counters": counters,
         }
 

@@ -44,8 +44,12 @@ first; a request deadline caps the budget early).  Application-level
 errors — bad shapes, :class:`~repro.serve.errors.FaultInjected` —
 propagate to the caller untouched: only worker *death* is retried,
 because only death says nothing about the request itself.
-:meth:`ShardedPool.health` condenses the shard states into the
-``ok`` / ``degraded`` / ``unhealthy`` signal ``/healthz`` serves.
+
+The restart budget, kill consumption, :meth:`~Supervisor.settle` wait
+and the ``ok`` / ``degraded`` / ``unhealthy`` :func:`rollup` are
+:class:`Supervisor`, the one state machine :class:`ShardedPool` and
+:class:`~repro.serve.cluster.ReplicaSet` share; each keeps only how it
+notices a death and how it rebuilds a worker.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,7 +75,7 @@ from ..utils.backoff import Backoff
 from .errors import DeadlineExceeded, NoHealthyShards, ShardCrash
 from .faults import FaultPlan, ShardFaultState, kill_process
 
-__all__ = ["ShardedPool", "REQUEST_KINDS", "SHARD_STATES"]
+__all__ = ["ShardedPool", "Supervisor", "REQUEST_KINDS", "SHARD_STATES"]
 
 #: Engine methods a pool (and the batching frontend above it) can run.
 REQUEST_KINDS = ("logits", "predict", "intensity_map")
@@ -122,24 +126,99 @@ def _raise_shard_crash() -> None:
     raise ShardCrash("injected shard kill (thread backend)")
 
 
-class _Shard:
+class Member:
+    """One supervised worker: a pool shard or a replica process."""
+
+    def __init__(self, index: int, plan: Optional[FaultPlan],
+                 state: str = "ok") -> None:
+        self.index = index
+        self.state = state
+        self.restarts = 0
+        self.plan = plan  # remaining fault plan (fired kills are consumed)
+
+
+def rollup(states: Sequence[str], up: Sequence[str] = ("ok",)) -> str:
+    """The health signal of a member set: ``ok`` when every member is
+    ok, ``degraded`` while any member is in ``up`` (serving, or on its
+    way back), else ``unhealthy``."""
+    if states and all(state == "ok" for state in states):
+        return "ok"
+    return "degraded" if any(state in up for state in states) \
+        else "unhealthy"
+
+
+class Supervisor:
+    """The restart budget shared by shards and replicas.
+
+    Owners list their :class:`Member` records in ``members`` and guard
+    every state change with ``_lock``; ``_changed`` (a condition on
+    that lock) wakes waiters on each transition.
+    """
+
+    def __init__(self, members: List[Member], max_restarts: int,
+                 scope: str) -> None:
+        if max_restarts < 0:
+            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
+        self.max_restarts = int(max_restarts)
+        self._members = members
+        self._scope = scope  # the FaultPlan scope of a member's kills
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._closed = False
+
+    def _strike(self, member: Member, consume_kill: bool = True) -> bool:
+        """Count one death of ``member`` (caller holds ``_lock``).
+
+        Past ``max_restarts``, or once the owner is closing, the member
+        is quarantined for good; otherwise it is ``respawning``, and
+        with ``consume_kill`` its plan loses the kill that fired, so
+        one configured kill dies exactly once.  Returns ``True`` when
+        the owner should rebuild the member.
+        """
+        member.restarts += 1
+        if member.restarts > self.max_restarts or self._closed:
+            member.state = "quarantined"
+        else:
+            member.state = "respawning"
+            if consume_kill and member.plan:
+                member.plan = member.plan.without_kill(member.index,
+                                                       scope=self._scope)
+        self._changed.notify_all()
+        return member.state == "respawning"
+
+    def _close(self) -> bool:
+        """Mark the owner closing; ``False`` if it already was."""
+        with self._changed:
+            was_open, self._closed = not self._closed, True
+            self._changed.notify_all()
+        return was_open
+
+    def settle(self, timeout: float = 30.0) -> bool:
+        """Block until no member is starting or respawning (or
+        ``timeout`` passes); ``True`` when settled.  A ``recovering``
+        shard counts as settled: it flips to ``ok`` once traffic
+        reaches it."""
+        with self._changed:
+            return self._changed.wait_for(lambda: not any(
+                member.state in ("starting", "respawning")
+                for member in self._members), timeout)
+
+
+class _Shard(Member):
     """One worker (an executor with exactly one slot) + supervision state."""
 
     def __init__(self, index: int, executor, run,
                  plan: Optional[FaultPlan]) -> None:
-        self.index = index
+        super().__init__(index, plan)
         self.executor = executor
         self.run = run
-        self.plan = plan  # remaining fault plan (kills are consumed)
-        self.state = "ok"
-        self.restarts = 0
         self.inflight = 0
 
     def available(self) -> bool:
         return self.state in ("ok", "recovering")
 
 
-class ShardedPool:
+class ShardedPool(Supervisor):
     """Dispatch inference batches across ``shards`` engine workers.
 
     Parameters
@@ -198,20 +277,15 @@ class ShardedPool:
             raise ValueError("ShardedPool needs a model or an artifact path")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
+        self._shards: List[_Shard] = []
+        super().__init__(self._shards, max_restarts, scope="shard")
         self.shards = int(shards)
         self.backend = backend
         self.precision = precision
         self.engine_batch = int(engine_batch)
         self.max_retries = int(max_retries)
-        self.max_restarts = int(max_restarts)
         self._backoff = Backoff(backoff_base, backoff_cap, seed=0x5EED)
-        self._lock = threading.Lock()
-        self._state_changed = threading.Condition(self._lock)
         self._rr = itertools.count()
-        self._closed = False
-        self._shards: List[_Shard] = []
 
         if backend == "process":
             if artifact is None:
@@ -352,7 +426,7 @@ class ShardedPool:
                     raise DeadlineExceeded(
                         "deadline expired while waiting for a shard respawn"
                     )
-            self._state_changed.wait(timeout)
+            self._changed.wait(timeout)
 
     def submit(self, kind: str, fields,
                deadline: Optional[float] = None) -> Future:
@@ -405,12 +479,12 @@ class ShardedPool:
 
         def _done(done: Future, _shard=shard, _executor=executor) -> None:
             exc = done.exception()
-            with self._state_changed:
+            with self._changed:
                 _shard.inflight -= 1
                 if exc is None and _shard.state == "recovering" \
                         and _shard.executor is _executor:
                     _shard.state = "ok"
-                    self._state_changed.notify_all()
+                    self._changed.notify_all()
             if exc is None:
                 self._resolve(outer, result=done.result())
             elif isinstance(exc, _FATAL):
@@ -439,18 +513,16 @@ class ShardedPool:
     def _on_fatal(self, shard: _Shard, executor, exc: BaseException,
                   kind: str, fields: np.ndarray, outer: Future,
                   attempt: int, deadline: Optional[float]) -> None:
-        with self._state_changed:
+        with self._changed:
             self._m_failures.inc()
             if shard.available() and shard.executor is executor:
-                # First detector of this death owns the respawn; every
+                # First detector of this death owns the strike; every
                 # other in-flight batch on the broken executor only
                 # retries (including stragglers that were queued on an
                 # executor the supervisor has already replaced — their
                 # death is the *old* incarnation's, not a new one).
-                shard.state = "respawning"
-                shard.restarts += 1
                 self._m_restarts.inc(shard=str(shard.index))
-                self._state_changed.notify_all()
+                self._strike(shard)
                 threading.Thread(
                     target=self._respawn, args=(shard,),
                     name=f"repro-shard-{shard.index}-respawn", daemon=True,
@@ -478,21 +550,13 @@ class ShardedPool:
         timer.start()
 
     def _respawn(self, shard: _Shard) -> None:
-        """Replace a dead shard's executor (supervisor thread)."""
+        """Retire a dead shard's executor and, unless the strike
+        quarantined it, build its successor (supervisor thread)."""
         shard.executor.shutdown(wait=False)
-        with self._state_changed:
-            quarantine = shard.restarts > self.max_restarts or self._closed
-            if quarantine:
-                shard.state = "quarantined"
-                self._state_changed.notify_all()
-                return
-            # One configured kill dies exactly once: the respawned
-            # worker gets the plan minus the kill that just fired.
-            plan = shard.plan.without_kill(shard.index) if shard.plan \
-                else None
-            shard.plan = plan
-        executor, run = self._build_worker(shard.index, plan)
-        with self._state_changed:
+        if shard.state == "quarantined":
+            return
+        executor, run = self._build_worker(shard.index, shard.plan)
+        with self._changed:
             if self._closed:
                 executor.shutdown(wait=False)
                 shard.state = "quarantined"
@@ -500,23 +564,7 @@ class ShardedPool:
                 shard.executor = executor
                 shard.run = run
                 shard.state = "recovering"
-            self._state_changed.notify_all()
-
-    def settle(self, timeout: float = 30.0) -> bool:
-        """Block until no shard is mid-respawn (or ``timeout`` passes).
-
-        ``recovering`` counts as settled — a recovered shard only flips
-        to ``ok`` once traffic reaches it.  Returns ``True`` when
-        settled.
-        """
-        end = time.monotonic() + timeout
-        with self._state_changed:
-            while any(s.state == "respawning" for s in self._shards):
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._state_changed.wait(remaining)
-            return True
+            self._changed.notify_all()
 
     def run(self, kind: str, fields) -> np.ndarray:
         """Synchronous :meth:`submit`."""
@@ -573,13 +621,9 @@ class ShardedPool:
                 }
                 for shard in self._shards
             ]
-        states = [entry["state"] for entry in shards]
-        if all(state == "quarantined" for state in states):
-            status = "unhealthy"
-        elif all(state == "ok" for state in states):
-            status = "ok"
-        else:
-            status = "degraded"
+        # Unhealthy only once every shard is quarantined.
+        status = rollup([entry["state"] for entry in shards],
+                        up=("ok", "respawning", "recovering"))
         return {
             "status": status,
             "shards": shards,
@@ -589,11 +633,8 @@ class ShardedPool:
         }
 
     def close(self) -> None:
-        with self._state_changed:
-            if self._closed:
-                return
-            self._closed = True
-            self._state_changed.notify_all()
+        if not self._close():
+            return
         for shard in self._shards:
             shard.executor.shutdown(wait=True)
 

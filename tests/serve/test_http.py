@@ -1,6 +1,9 @@
 """End-to-end HTTP/JSON frontend tests (real sockets, ephemeral ports)."""
 
 import json
+import socket
+import struct
+import time
 import urllib.error
 import urllib.request
 
@@ -231,3 +234,31 @@ class TestIdentityAndDrain:
         low, high = RETRY_AFTER_JITTER
         assert all(low <= value <= high for value in seen)
         assert len(set(seen)) >= 2  # actually jittered, not constant
+
+
+class TestClientDisconnect:
+    def test_early_hangup_is_counted_without_a_traceback(self, model,
+                                                         images, capfd):
+        config = ServeConfig(max_batch=4, max_delay=0.001,
+                             faults="delay:shard=0,ms=300,times=100")
+        with Server(model=model, config=config) as server:
+            host, port = server.serve_http(port=0).address
+            body = json.dumps({"inputs": images[0].tolist()}).encode()
+            client = socket.create_connection((host, port), timeout=10)
+            client.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+            time.sleep(0.05)  # the request is read and queued
+            # Close with a reset, before the delayed shard answers.
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                              struct.pack("ii", 1, 0))
+            client.close()
+            name = "repro_http_client_disconnects_total"
+            deadline = time.monotonic() + 10
+            while (server.metrics.as_dict().get(name, 0) < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert server.metrics.as_dict()[name] == 1
+            assert name in server.metrics_text()
+        assert "Traceback" not in capfd.readouterr().err

@@ -17,7 +17,6 @@ from repro.serve import (
     DeadlineExceeded,
     FaultPlan,
     MicroBatcher,
-    ResultCache,
     ServeConfig,
     Server,
     ShardedPool,
@@ -43,9 +42,9 @@ def _flat_samples(text):
 
 class TestMetricsUnderLoad:
     def test_counters_match_stats_ground_truth(self, model, images):
-        config = ServeConfig(max_batch=4, max_delay=0.005, cache_size=32)
+        config = ServeConfig(max_batch=4, max_delay=0.005)
         with Server(model=model, config=config) as server:
-            for _ in range(2):  # second pass: pure cache hits
+            for _ in range(2):
                 for sample in images:
                     server.submit("predict", sample).result()
             stats = server.stats()
@@ -56,21 +55,16 @@ class TestMetricsUnderLoad:
             counters["requests"]
         assert flat['repro_server_request_latency_seconds_count'
                     '{kind="predict"}'] == counters["requests"]
-        # The batcher only sees cache misses; hits short-circuit.
-        assert counters["batched"] == \
-            counters["requests"] - counters["cache_hits"]
+        assert counters["batched"] == counters["requests"]
         assert flat["repro_batcher_requests_total"] == \
             counters["batched"]
-        assert flat["repro_cache_hits_total"] == counters["cache_hits"]
-        assert flat["repro_cache_misses_total"] == \
-            counters["cache_misses"]
         assert flat["repro_server_inflight"] == 0
         # Histogram internal consistency: +Inf bucket equals _count.
         assert flat['repro_server_request_latency_seconds_bucket'
                     '{kind="predict",le="+Inf"}'] == counters["requests"]
         # Batch sizes observed sum to the requests that went through.
         assert flat["repro_batcher_batch_size_sum"] == \
-            counters["requests"] - counters["cache_hits"]
+            counters["requests"]
 
     def test_two_servers_do_not_double_count(self, model, images):
         config = ServeConfig(max_batch=4, max_delay=0.005)
@@ -215,17 +209,6 @@ class TestStatsReadTheRegistry:
         assert sum(stats["restarts"]) == sum(
             value for key, value in flat.items()
             if key.startswith("repro_pool_shard_restarts_total")) == 1
-
-        cache = ResultCache(2)
-        key = ResultCache.make_key("predict", images[0])
-        assert cache.get(key) is None
-        cache.put(key, np.zeros(3))
-        assert cache.get(key) is not None
-        stats = cache.stats()
-        flat = cache.metrics.as_dict()
-        assert stats["hits"] == flat["repro_cache_hits_total"] == 1
-        assert stats["misses"] == flat["repro_cache_misses_total"] == 1
-        assert stats["size"] == flat["repro_cache_entries"] == 1
 
     def test_concurrent_expiries_are_never_lost(self):
         # The expired-on-arrival path runs outside the batcher lock on

@@ -27,6 +27,18 @@ from repro.serve.router import (
 )
 
 
+class QuietServer(ThreadingHTTPServer):
+    """Like the real replicas' server: a client that hangs up before
+    its answer (the router timing out) is no traceback."""
+
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1],
+                          (ConnectionResetError, BrokenPipeError)):
+            super().handle_error(request, client_address)
+
+
 class StubReplica:
     """A scriptable fake replica: /healthz + /v1/predict over a real
     socket.  Behavior is controlled by mutable attributes:
@@ -108,8 +120,7 @@ class StubReplica:
         self.requests = 0
         self.lock = threading.Lock()
         self.open_connections = 0
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.httpd.daemon_threads = True
+        self.httpd = QuietServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(
             target=self.httpd.serve_forever, daemon=True)
         self._thread.start()

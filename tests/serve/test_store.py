@@ -1,11 +1,12 @@
-"""ModelStore and the versioned self-contained artifact format."""
+"""ModelStore, the versioned self-contained artifact format, and the
+serving precision an artifact implies."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
-from repro.serve import ModelStore, resolve_artifact
+from repro.serve import ModelStore, ServeConfig, Server, resolve_artifact
 from repro.utils import (
     MODEL_FORMAT,
     MODEL_FORMAT_VERSION,
@@ -264,3 +265,36 @@ class TestDetectorSpecHeader:
         clone = load_model(path)
         assert np.array_equal(clone.predict(images),
                               model.predict(images))
+
+
+class TestArtifactPrecisionResolution:
+    def test_artifact_precision_becomes_serving_default(self, tmp_path,
+                                                        model):
+        path = model.save(tmp_path / "m.npz", precision="single")
+        server = Server(artifact=path)
+        assert server.resolved_precision() == "single"
+        assert server.info()["precision"] == "single"
+
+    def test_explicit_config_precision_wins(self, tmp_path, model):
+        path = model.save(tmp_path / "m.npz", precision="single")
+        server = Server(artifact=path,
+                        config=ServeConfig(precision="double"))
+        assert server.resolved_precision() == "double"
+
+    def test_unrecorded_precision_defaults_to_double(self, tmp_path, model):
+        path = model.save(tmp_path / "m.npz")
+        server = Server(artifact=path)
+        assert server.resolved_precision() == "double"
+
+    def test_live_model_defaults_to_double(self, model):
+        assert Server(model=model).resolved_precision() == "double"
+
+    def test_served_engine_runs_at_artifact_precision(self, tmp_path,
+                                                      model, images):
+        path = model.save(tmp_path / "m.npz", precision="single")
+        reference = model.inference_engine(
+            precision="single").logits(images)
+        with Server(artifact=path) as server:
+            served = server.logits(images)
+        assert served.dtype == np.float32
+        np.testing.assert_array_equal(served, reference)

@@ -1,11 +1,15 @@
-"""Sharded worker pool: invariance, dispatch, process backend."""
+"""Sharded worker pool: invariance, dispatch, process backend, and the
+supervision core it shares with the replica set."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
-from repro.serve import ServeConfig, Server, ShardedPool
+from repro.serve import FaultPlan, ServeConfig, Server, ShardedPool
+from repro.serve.workers import Member, Supervisor, rollup
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +108,67 @@ class TestProcessBackend:
         assert server.artifact.exists()
         server.stop()  # stop before start must still clean up
         assert not server.artifact.exists()
+
+
+class TestSupervisor:
+    """The restart budget ShardedPool and ReplicaSet share."""
+
+    @staticmethod
+    def supervisor(max_restarts, plan="kill:replica=0; kill:replica=0"):
+        member = Member(0, FaultPlan.parse(plan))
+        return Supervisor([member], max_restarts, scope="replica"), member
+
+    def test_strike_respawns_with_the_fired_kill_consumed(self):
+        supervisor, member = self.supervisor(max_restarts=1)
+        with supervisor._lock:
+            assert supervisor._strike(member)
+        assert (member.state, member.restarts) == ("respawning", 1)
+        assert str(member.plan) == "kill:replica=0"
+
+    def test_startup_strike_keeps_the_kill(self):
+        supervisor, member = self.supervisor(max_restarts=1)
+        with supervisor._lock:
+            assert supervisor._strike(member, consume_kill=False)
+        assert str(member.plan) == "kill:replica=0; kill:replica=0"
+
+    def test_budget_and_closing_quarantine(self):
+        supervisor, member = self.supervisor(max_restarts=1)
+        with supervisor._lock:
+            supervisor._strike(member)
+            assert not supervisor._strike(member)  # restarts 2 > 1
+        assert member.state == "quarantined"
+        assert str(member.plan) == "kill:replica=0"  # nothing to rebuild
+        supervisor, member = self.supervisor(max_restarts=5)
+        assert supervisor._close() and not supervisor._close()
+        with supervisor._lock:
+            assert not supervisor._strike(member)
+        assert member.state == "quarantined"
+
+    def test_settle_waits_for_respawns(self):
+        supervisor, member = self.supervisor(max_restarts=1)
+        with supervisor._lock:
+            supervisor._strike(member)
+        assert not supervisor.settle(timeout=0.05)
+
+        def rebuilt():
+            with supervisor._changed:
+                member.state = "ok"
+                supervisor._changed.notify_all()
+
+        threading.Timer(0.05, rebuilt).start()
+        assert supervisor.settle(timeout=10)
+
+    def test_rollup(self):
+        assert rollup(["ok", "ok"]) == "ok"
+        assert rollup(["ok", "respawning"]) == "degraded"
+        assert rollup(["respawning", "quarantined"]) == "unhealthy"
+        # The pool counts a shard on its way back as still up.
+        pool_up = ("ok", "respawning", "recovering")
+        assert rollup(["respawning", "quarantined"], up=pool_up) == \
+            "degraded"
+        assert rollup(["quarantined"] * 2, up=pool_up) == "unhealthy"
+        assert rollup([]) == "unhealthy"
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            self.supervisor(max_restarts=-1)

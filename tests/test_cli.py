@@ -40,7 +40,6 @@ class TestParser:
         assert args.shards == 1
         assert args.backend == "thread"
         assert args.port == 8000
-        assert args.cache_size == 0
 
     def test_serve_knobs(self):
         args = build_parser().parse_args([
