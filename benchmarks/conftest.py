@@ -1,7 +1,11 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the paper-figure and table benches.
 
-Every table/figure of the paper's evaluation has one bench module here.
-Scale is controlled by the ``REPRO_SCALE`` environment variable:
+Every table/figure of the paper's evaluation has one module here.  The
+cheap checks (Fig. 3 random masks, Fig. 4 at paper scale, Table I) run
+in every tier-1 pass.  The heavy ones (Fig. 5/6, the deployment gap,
+Tables II-V and the two serving speed tests) train or serve for
+minutes, so they run only with ``REPRO_RUN_TABLE_BENCHES=1``.  Scale is
+controlled by the ``REPRO_SCALE`` environment variable:
 
 * ``laptop`` (default) — 40 x 40 masks, ~1k synthetic samples; each full
   table takes a few minutes on one CPU core;
@@ -9,39 +13,28 @@ Scale is controlled by the ``REPRO_SCALE`` environment variable:
 * ``paper``  — the exact published geometry (200 x 200, full-length
   training; expect GPU-scale runtimes).
 
-Run with output visible::
+Run with the reproduced tables and figures visible::
 
-    pytest benchmarks/ --benchmark-only -s
+    REPRO_RUN_TABLE_BENCHES=1 PYTHONPATH=src pytest benchmarks/ -s
 """
 
 import os
+import time
 
 import pytest
 
 from repro.pipeline import ExperimentConfig
 
-__all__ = ["table_config", "report"]
+__all__ = ["table_config", "report", "require_opt_in"]
 
-#: File that collects the reproduced tables/figures so they survive
-#: pytest's output capture (the timing table alone is not the result).
-_REPORT_PATH = os.environ.get(
-    "REPRO_BENCH_REPORT",
-    os.path.join(os.path.dirname(__file__), "benchmarks_report.txt"),
-)
-
-#: Has this process written the report yet?  The first write truncates,
-#: so the file holds one session's report, never a pile of repeats.
-_report_started = [False]
+#: The benches print what they reproduce (``-s`` shows it).
+report = print
 
 
-def report(text: str = "") -> None:
-    """Print ``text`` and write it to the bench report file (the first
-    call in a process starts the file afresh, later calls append)."""
-    print(text)
-    mode = "a" if _report_started[0] else "w"
-    _report_started[0] = True
-    with open(_REPORT_PATH, mode, encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def require_opt_in(what: str) -> None:
+    """Skip a heavy bench unless ``REPRO_RUN_TABLE_BENCHES`` is set."""
+    if not os.environ.get("REPRO_RUN_TABLE_BENCHES"):
+        pytest.skip(f"{what} (enable with REPRO_RUN_TABLE_BENCHES=1)")
 
 
 def table_config(family: str) -> ExperimentConfig:
@@ -70,27 +63,16 @@ def table_config(family: str) -> ExperimentConfig:
 
 
 @pytest.fixture
-def once(request, benchmark):
-    """Run a heavy end-to-end workload exactly once under the benchmark
-    timer (training pipelines are not micro-benchmarks).
-
-    These workloads train full models for minutes-to-hours, so they only
-    run when benchmarking is explicitly requested (``--benchmark-only``
-    or ``REPRO_RUN_TABLE_BENCHES=1``); a plain ``pytest`` sweep over the
-    repo skips them and still runs the cheap figure benches.
-    """
-    explicitly_enabled = (
-        request.config.getoption("--benchmark-only")
-        or os.environ.get("REPRO_RUN_TABLE_BENCHES")
-    )
-    if not explicitly_enabled:
-        pytest.skip(
-            "heavy end-to-end bench (enable with --benchmark-only or "
-            "REPRO_RUN_TABLE_BENCHES=1)"
-        )
+def once():
+    """Run a heavy end-to-end workload once and print its wall time
+    (training pipelines are not micro-benchmarks).  Skips unless
+    ``REPRO_RUN_TABLE_BENCHES`` is set."""
+    require_opt_in("heavy end-to-end bench")
 
     def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        print(f"{fn.__name__}: {time.perf_counter() - start:.1f} s")
+        return result
 
     return runner

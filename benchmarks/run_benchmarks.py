@@ -1,30 +1,22 @@
 #!/usr/bin/env python
-"""Snapshot the backend and physics-scenario benchmarks.
+"""Snapshot the backend benchmark into ``BENCH_backend.json``.
 
-Each group is driven directly (none is a repeated-timing pytest
-micro-benchmark) and writes one ``BENCH_*.json``:
-
-* ``backend`` — the FFT dispatch layer: numpy vs scipy at workers=1/N
-  kernel FFTs, double vs single fused train steps;
-* ``scenarios`` — the four physics scenarios end to end
-  (coherent-limit equality, quantization-gap and deployed-accuracy
-  gates).
+It times the FFT dispatch layer (numpy vs scipy at workers=1/N kernel
+FFTs) and double vs single fused train steps.
 
 ::
 
-    python benchmarks/run_benchmarks.py
-        [--only backend|scenarios]
+    python benchmarks/run_benchmarks.py [--only backend]
         [--backend-output BENCH_backend.json] [--backend-quick]
-        [--scenarios-output BENCH_scenarios.json] [--scenarios-quick]
 
-Each snapshot carries a ``provenance`` block (git SHA, timestamp,
-python/numpy/scipy versions, platform) and a ``thresholds`` block of
-regression gates that ``repro bench-compare`` enforces against an older
-snapshot (non-zero exit on regression — the CI bench gate).  The exit
-status is non-zero when any group's acceptance gate fails.  End-to-end
-training and serving speed is measured by ``perfbench/`` instead
-(``docs/performance.md``); the serving and sweep chaos gates live in
-tier-1 and the CI chaos smokes (``docs/serving.md``).
+The snapshot carries a ``provenance`` block (git SHA, timestamp,
+python/numpy/scipy versions, platform) and a ``thresholds`` block that
+``repro bench-compare`` enforces against an older snapshot; a quick
+snapshot writes no thresholds.  The exit status is non-zero when the
+full-scale acceptance gate fails.  End-to-end training and serving
+speed is measured by ``perfbench/`` instead (``docs/performance.md``);
+the physics-scenario, serving and sweep gates live in tier-1 and the CI
+smokes (``docs/experiments.md``, ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -75,21 +67,10 @@ def provenance() -> dict:
     }
 
 
-#: Regression gates embedded per snapshot — ``repro bench-compare``
-#: reads the *new* snapshot's block (else the old's), so a quick/CI
-#: snapshot deliberately writes only the gates that remain meaningful
-#: at its shrunken scale (correctness booleans, never timing ratios).
+#: Regression gates embedded in a full snapshot — ``repro bench-compare``
+#: reads the *new* snapshot's block (else the old's).  A quick snapshot
+#: writes none: a timing ratio at its shrunken scale means nothing.
 _BACKEND_THRESHOLDS = {"train_single_vs_double_n64": 1.5}
-#: Physics-scenario gates: correctness booleans that hold at any scale —
-#: the 1-mode partial-coherence engine must equal the coherent engine,
-#: Gumbel-softmax quantization must land within 2 accuracy points of the
-#: continuous model, and every scenario run must report its deployed
-#: accuracy.
-_SCENARIO_THRESHOLDS = {
-    "coherent_limit_equal": True,
-    "quantized_within_2pts": True,
-    "deploy_gap_reported": True,
-}
 
 
 def _timeit(fn, rounds: int, warmup: int = 1) -> dict:
@@ -226,134 +207,13 @@ def run_backend_bench(output: str, quick: bool = False) -> int:
     return 0
 
 
-def run_scenarios_bench(output: str, quick: bool = False) -> int:
-    """Run the four physics scenarios end to end; write
-    ``BENCH_scenarios.json``.
-
-    Each registered scenario recipe (``differential``,
-    ``partial_coherence``, ``quantized``, ``deploy_gap``) runs at smoke
-    scale (laptop n=20) and is timed as one case.  The acceptance gates
-    are physics correctness, not speed:
-
-    * **coherent_limit_equal** — an engine compiled with a single
-      uniform source mode must reproduce the coherent engine's logits to
-      <= 1e-10 (the mode-decomposition sanity anchor);
-    * **quantized_within_2pts** — Gumbel-softmax discrete codesign must
-      land within 2 accuracy points of the continuous model it started
-      from;
-    * **deploy_gap_reported** — every scenario run must report
-      ``deployed_accuracy`` (the trained-vs-fabricated contract).
-    """
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    import dataclasses
-    import time
-
-    import numpy as np
-
-    from repro.pipeline import ExperimentConfig, run_recipe
-    from repro.physics import SCENARIO_RECIPES, CoherenceSpec
-
-    base = ExperimentConfig.laptop("digits", n=20, seed=0)
-    config = base.with_overrides(
-        n_train=60 if quick else 240,
-        n_test=30 if quick else 120,
-        batch_size=30,
-        baseline_epochs=1 if quick else 4,
-        twopi=dataclasses.replace(base.twopi,
-                                  iterations=10 if quick else 50),
-    )
-
-    cases = {}
-    results = {}
-    for name in SCENARIO_RECIPES:
-        start = time.perf_counter()
-        results[name] = run_recipe(name, config)
-        elapsed = time.perf_counter() - start
-        cases[f"recipe_{name}"] = {
-            "mean_s": elapsed, "min_s": elapsed, "stddev_s": 0.0,
-            "rounds": 1,
-        }
-
-    # Coherent-limit anchor: one uniform source mode == coherent engine.
-    model = results["deploy_gap"].model
-    rng = np.random.default_rng(7)
-    images = rng.random((8, 28, 28))
-    coherent = model.inference_engine(precision="double").logits(images)
-    one_mode = model.inference_engine(
-        precision="double",
-        source_modes=CoherenceSpec(modes=1).screens(config.system.n),
-    ).logits(images)
-    delta = float(np.max(np.abs(coherent - one_mode)))
-
-    metrics = {name: result.stage_metrics()
-               for name, result in results.items()}
-    quantize = metrics["quantized"]["quantize"]
-    gap_points = float(quantize["quantization_gap"]) * 100.0
-    deploy_reported = all(
-        isinstance(stage_metrics.get("deploy_gap", {})
-                   .get("deployed_accuracy"), float)
-        for stage_metrics in metrics.values()
-    )
-    coherence = metrics["partial_coherence"]["coherence_score"]
-    summary_block = {
-        "coherent_limit_max_delta": delta,
-        "coherent_limit_equal": delta <= 1e-10,
-        "quantized_gap_points": round(gap_points, 3),
-        "quantized_within_2pts": gap_points <= 2.0,
-        "deploy_gap_reported": deploy_reported,
-        "differential_accuracy": round(
-            results["differential"].accuracy, 4),
-        "differential_deployment_gap": round(float(
-            metrics["differential"]["deploy_gap"]["deployment_gap"]), 4),
-        "coherence_penalty": round(
-            float(coherence["coherence_penalty"]), 4),
-    }
-    snapshot = {
-        "machine_info": {"cpu_count": os.cpu_count()},
-        "provenance": provenance(),
-        # All three gates are correctness booleans; they hold at quick
-        # scale too, so every snapshot keeps them.
-        "thresholds": dict(_SCENARIO_THRESHOLDS),
-        "cases": cases,
-        "summary": summary_block,
-    }
-    with open(output, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(cases)} cases to {output}")
-    for label, value in sorted(summary_block.items()):
-        print(f"  {label}: {value}")
-
-    status = 0
-    if not summary_block["coherent_limit_equal"]:
-        print(f"ACCEPTANCE FAILED: 1-mode partial-coherence engine "
-              f"deviates from the coherent engine by {delta:.3e} "
-              f"(> 1e-10)", file=sys.stderr)
-        status = 1
-    if not summary_block["quantized_within_2pts"]:
-        print(f"ACCEPTANCE FAILED: quantized accuracy is "
-              f"{gap_points:.2f} points below continuous (> 2)",
-              file=sys.stderr)
-        status = 1
-    if not deploy_reported:
-        missing = sorted(
-            name for name, stage_metrics in metrics.items()
-            if not isinstance(stage_metrics.get("deploy_gap", {})
-                              .get("deployed_accuracy"), float)
-        )
-        print(f"ACCEPTANCE FAILED: scenario run(s) {missing} did not "
-              f"report deployed_accuracy", file=sys.stderr)
-        status = 1
-    return status
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--only",
-        choices=("backend", "scenarios"),
+        choices=("backend",),
         default=None,
-        help="snapshot just one bench group (default: all)",
+        help="the bench group to snapshot (backend is the only one)",
     )
     parser.add_argument(
         "--backend-output",
@@ -365,29 +225,8 @@ def main() -> int:
         help="single-round backend bench for CI plumbing checks "
              "(numbers written but not meaningful; acceptance gate off)",
     )
-    parser.add_argument(
-        "--scenarios-output",
-        default=os.path.join(REPO_ROOT, "benchmarks",
-                             "BENCH_scenarios.json"),
-        help="where to write the physics-scenario snapshot",
-    )
-    parser.add_argument(
-        "--scenarios-quick", action="store_true",
-        help="1-epoch scenario bench for CI plumbing checks (the "
-             "physics correctness gates stay on)",
-    )
     args = parser.parse_args()
-
-    status = 0
-    if args.only in (None, "backend"):
-        status = run_backend_bench(
-            args.backend_output, quick=args.backend_quick
-        ) or status
-    if args.only in (None, "scenarios"):
-        status = run_scenarios_bench(
-            args.scenarios_output, quick=args.scenarios_quick
-        ) or status
-    return status
+    return run_backend_bench(args.backend_output, quick=args.backend_quick)
 
 
 if __name__ == "__main__":

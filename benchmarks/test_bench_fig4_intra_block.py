@@ -1,48 +1,16 @@
-"""Fig. 4: intra-block smoothness illustration (block size 2, ratio 0.33).
-
-Reproduces the per-block sample variances and the printed AvgVar = 4.835
-on the paper's 6 x 6 matrix, and benchmarks the metric at the published
-mask size (200 x 200, block 20).
+"""Fig. 4: the intra-block smoothness metric at the published mask size
+(200 x 200, block 20).  The paper's 6 x 6 worked example (AvgVar = 4.835)
+is pinned by ``tests/roughness/test_paper_figures.py``.
 """
 
 import numpy as np
 
-from repro.roughness import block_variances, intra_block_smoothness
-
-from .conftest import report
-
-PAPER_MATRIX = np.array([
-    [4.7, 5.7, 0.9, 0.4, 2.6, 8.6],
-    [4.5, 0.9, 3.8, 1.5, 5.4, 3.7],
-    [0.1, 5.7, 9.0, 3.2, 2.1, 0.7],
-    [4.7, 9.7, 7.8, 2.5, 0.8, 3.9],
-    [1.1, 0.7, 0.6, 0.1, 4.4, 1.8],
-    [5.6, 0.4, 1.8, 0.4, 9.8, 2.3],
-])
+from repro.roughness import intra_block_smoothness
 
 
-def fig4_matrix() -> np.ndarray:
-    out = PAPER_MATRIX.copy()
-    for bi, bj in ((1, 0), (1, 2), (2, 1)):
-        out[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2] = 0.0
-    return out
-
-
-def test_bench_fig4_paper_matrix(benchmark):
-    matrix = fig4_matrix()
-    avg = benchmark(intra_block_smoothness, matrix, 2)
-
-    grid = block_variances(matrix, 2)
-    report("\nFig. 4 worked example: per-block sample variances")
-    for row in grid:
-        report("  " + "  ".join(f"{v:5.1f}" for v in row))
-    report(f"AvgVar measured {avg:.3f}   paper 4.835")
-    assert abs(avg - 4.835) < 0.01
-
-
-def test_bench_fig4_paper_scale_metric(benchmark):
+def test_bench_fig4_paper_scale_metric():
     mask = np.random.default_rng(0).uniform(0, 2 * np.pi, (200, 200))
-    value = benchmark(intra_block_smoothness, mask, 20)
+    value = intra_block_smoothness(mask, 20)
     # Uniform [0, 2pi) per-block sample variance concentrates near the
     # distribution variance (2 pi)^2 / 12.
     assert abs(value - (2 * np.pi) ** 2 / 12) < 0.2

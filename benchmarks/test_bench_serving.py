@@ -12,16 +12,12 @@ Drives the full ``repro.serve`` stack with a closed-loop client pool
   answer byte-identical to a serial engine and the router back to
   ``ok`` afterwards.
 
-Both only run when benchmarking is explicitly requested
-(``--benchmark-only`` or ``REPRO_RUN_TABLE_BENCHES=1``); the chaos
+Both only run with ``REPRO_RUN_TABLE_BENCHES=1``; the chaos
 guarantees themselves are tier-1 tests (``tests/serve/test_faults.py``,
 ``tests/serve/test_cluster.py``) and CI smokes (``docs/serving.md``).
 """
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
@@ -29,7 +25,7 @@ from repro.serve import (ModelStore, ServeConfig, Server, run_load,
                          verified_load)
 from repro.serve.bench import deployment
 
-from .conftest import report
+from .conftest import report, require_opt_in
 
 #: The acceptance workload: small enough that a single-sample engine
 #: call is overhead-dominated — the regime micro-batching exists for.
@@ -45,15 +41,8 @@ def _samples(count):
     return np.random.default_rng(0).random((count, 28, 28))
 
 
-def _require_opt_in(request, what):
-    if not (request.config.getoption("--benchmark-only")
-            or os.environ.get("REPRO_RUN_TABLE_BENCHES")):
-        pytest.skip(f"{what} (enable with --benchmark-only or "
-                    "REPRO_RUN_TABLE_BENCHES=1)")
-
-
-def test_bench_serving_acceptance(request):
-    _require_opt_in(request, "serving throughput bench")
+def test_bench_serving_acceptance():
+    require_opt_in("serving throughput bench")
     model, samples = _serving_model(), _samples(64)
     cases = {}
     for batch in (1, ACCEPTANCE_BATCH):
@@ -84,8 +73,8 @@ def test_bench_serving_acceptance(request):
         == ACCEPTANCE_BATCH
 
 
-def test_bench_replica_kill_retains_throughput(request, tmp_path):
-    _require_opt_in(request, "replica-kill throughput bench")
+def test_bench_replica_kill_retains_throughput(tmp_path):
+    require_opt_in("replica-kill throughput bench")
     model, samples = _serving_model(), _samples(32)
     artifact = ModelStore(tmp_path).save("bench-n20", model)
     reference = model.inference_engine(precision="double").predict(samples)

@@ -50,6 +50,20 @@ from .workers import Member, Supervisor, rollup
 __all__ = ["ReplicaSet"]
 
 
+def _chaotic(submit, specs):
+    """``submit`` behind replica-scoped chaos: each submitted request
+    (counted before admission) fires the delay/error/kill ``specs``.
+    The HTTP handler threads share the one counter, and a delayed
+    request sleeps without holding up the others."""
+    state = ShardFaultState(specs)
+
+    def chaotic_submit(kind, sample, deadline_ms=None):
+        state.fire(kill_process)
+        return submit(kind, sample, deadline_ms=deadline_ms)
+
+    return chaotic_submit
+
+
 def _replica_main(conn, artifact: str, config: ServeConfig,
                   index: int) -> None:
     """Child-process entry point: build the Server, bind an ephemeral
@@ -65,19 +79,7 @@ def _replica_main(conn, artifact: str, config: ServeConfig,
     plan = config.resolved_faults()
     specs = plan.for_replica(index) if plan is not None else ()
     if specs:
-        # Replica-scoped chaos: count submitted requests (pre-admission)
-        # and fire delay/error/kill per the plan.  The counter is shared
-        # by the HTTP handler threads, hence the lock.
-        state = ShardFaultState(specs)
-        state_lock = threading.Lock()
-        inner_submit = server.submit
-
-        def chaotic_submit(kind, sample, deadline_ms=None):
-            with state_lock:
-                state.fire(kill_process)
-            return inner_submit(kind, sample, deadline_ms=deadline_ms)
-
-        server.submit = chaotic_submit
+        server.submit = _chaotic(server.submit, specs)
     frontend = server.serve_http(host=config.host, port=0)
     conn.send(("ready", frontend.address[1]))
     try:

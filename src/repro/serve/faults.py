@@ -55,6 +55,7 @@ suggests.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
@@ -220,22 +221,25 @@ class FaultPlan:
 
 
 class ShardFaultState:
-    """Worker-side runtime of one shard's slice of a plan.
+    """Worker-side runtime of one shard's or replica's slice of a plan.
 
-    Owned by exactly one worker (thread closure or child-process
-    global), so the batch counter needs no lock.  ``fire`` runs before
-    each batch: sleeps for active delay windows, raises for active
-    error windows, then calls ``kill`` once a kill spec's threshold is
-    reached.
+    A shard's worker owns its state alone; a replica's HTTP handler
+    threads share theirs.  ``fire`` runs before each batch (shard) or
+    submitted request (replica): it claims the next index under a lock,
+    then, outside it, sleeps for active delay windows, raises for active
+    error windows, and calls ``kill`` once a kill spec's threshold is
+    reached.  So one delayed call never stalls a concurrent one.
     """
 
     def __init__(self, specs: Sequence[FaultSpec]) -> None:
         self.specs = tuple(specs)
         self.batches = 0
+        self._lock = threading.Lock()
 
     def fire(self, kill: Callable[[], None]) -> None:
-        index = self.batches
-        self.batches += 1
+        with self._lock:
+            index = self.batches
+            self.batches += 1
         for spec in self.specs:
             if spec.action == "delay" and \
                     spec.after <= index < spec.after + spec.times:

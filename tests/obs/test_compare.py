@@ -212,8 +212,8 @@ class TestBenchCompare:
             bench_compare(listy, listy)
 
     def test_committed_snapshots_self_compare_clean(self):
-        # The real CI gate: every committed snapshot must pass against
-        # itself (thresholds consistent with recorded numbers).
+        # Every committed snapshot must pass against itself (its
+        # thresholds are consistent with its recorded numbers).
         from pathlib import Path
         bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
         snapshots = sorted(bench_dir.glob("BENCH_*.json"))

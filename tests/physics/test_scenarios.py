@@ -39,6 +39,13 @@ def data():
     return prepare_data(tiny_cfg())
 
 
+@pytest.fixture(scope="module")
+def runs(data):
+    """Every scenario recipe, run once at smoke size."""
+    return {name: run_recipe(name, tiny_cfg(), data=data)
+            for name in SCENARIO_RECIPES}
+
+
 class TestCoherenceSpec:
     def test_screen_stack_shape_and_dtype(self):
         screens = CoherenceSpec(modes=5).screens(16)
@@ -136,8 +143,17 @@ class TestRegistration:
 
 
 class TestScenarioRuns:
-    def test_differential_end_to_end(self, data):
-        result = run_recipe("differential", tiny_cfg(), data=data)
+    def test_every_scenario_reports_deployed_accuracy(self, runs):
+        # The trained-vs-fabricated contract: each scenario's run ends
+        # with the fabricated system's accuracy as a float.
+        for name, result in runs.items():
+            deployed = result.stage_metrics()["deploy_gap"][
+                "deployed_accuracy"]
+            assert isinstance(deployed, float), (name, deployed)
+            assert 0.0 <= deployed <= 1.0, (name, deployed)
+
+    def test_differential_end_to_end(self, runs):
+        result = runs["differential"]
         metrics = result.stage_metrics()
         assert metrics["differential_head"]["detector_mode"] == \
             "differential"
@@ -150,16 +166,16 @@ class TestScenarioRuns:
         assert result.model.detector.num_classes == 10
         assert len(result.model.detector.layout.regions) == 20
 
-    def test_deploy_gap_metrics_are_consistent(self, data):
-        result = run_recipe("deploy_gap", tiny_cfg(), data=data)
+    def test_deploy_gap_metrics_are_consistent(self, runs):
+        result = runs["deploy_gap"]
         metrics = result.stage_metrics()["deploy_gap"]
         assert metrics["deployment_gap"] == pytest.approx(
             metrics["trained_accuracy"] - metrics["deployed_accuracy"])
         assert metrics["crosstalk_strength"] == pytest.approx(0.15)
         assert metrics["phase_rms_error"] >= 0.0
 
-    def test_partial_coherence_reports_penalty(self, data):
-        result = run_recipe("partial_coherence", tiny_cfg(), data=data)
+    def test_partial_coherence_reports_penalty(self, runs):
+        result = runs["partial_coherence"]
         metrics = result.stage_metrics()["coherence_score"]
         assert 0.0 <= metrics["partial_coherence_accuracy"] <= 1.0
         assert metrics["coherence_penalty"] == pytest.approx(
@@ -167,14 +183,13 @@ class TestScenarioRuns:
             - metrics["partial_coherence_accuracy"])
         assert metrics["coherence_modes"] == 6
 
-    def test_quantized_within_two_points_at_smoke_size(self, data):
+    def test_quantized_within_two_points_at_smoke_size(self, runs):
         from repro.optics.constants import TWO_PI
 
-        result = run_recipe("quantized", tiny_cfg(), data=data)
+        result = runs["quantized"]
         metrics = result.stage_metrics()["quantize"]
         # Acceptance gate: discrete codesign lands within 2 accuracy
-        # points of the continuous model (the bench enforces the same
-        # bound at full scale).
+        # points of the continuous model.
         assert metrics["quantization_gap"] <= 0.02 + 1e-12
         # Every phase pixel must sit exactly on one of the K levels —
         # what a fabricated mask holds.

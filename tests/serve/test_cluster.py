@@ -241,3 +241,26 @@ class TestStopDuringRespawn:
                   for child in multiprocessing.active_children()):
             assert time.monotonic() < deadline, "late replica still alive"
             time.sleep(0.05)
+
+
+class TestReplicaChaos:
+    def test_delayed_requests_sleep_side_by_side(self):
+        # Four handler threads hit a replica under a 200 ms delay spec:
+        # each sleeps out its own delay, so together they take ~0.2 s,
+        # not the 0.8 s of a replica that serves one at a time.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.serve.cluster import _chaotic
+        from repro.serve.faults import FaultPlan
+
+        specs = FaultPlan.parse(
+            "delay:replica=0,ms=200,times=100").for_replica(0)
+        submit = _chaotic(
+            lambda kind, sample, deadline_ms=None: (kind, sample), specs)
+        start = time.perf_counter()
+        with ThreadPoolExecutor(4) as pool:
+            answers = list(pool.map(lambda i: submit("predict", i),
+                                    range(4)))
+        elapsed = time.perf_counter() - start
+        assert answers == [("predict", i) for i in range(4)]
+        assert elapsed < 0.5, f"4 delayed requests took {elapsed:.2f} s"

@@ -16,19 +16,20 @@ def run(*args):
 
 
 def test_mistyped_flag_exits_before_any_bench(tmp_path):
-    output = tmp_path / "BENCH_scenarios.json"
-    result = run("--only", "scenarios", "--scenarios-quik",
-                 "--scenarios-output", str(output))
+    output = tmp_path / "BENCH_backend.json"
+    result = run("--only", "backend", "--backend-quik",
+                 "--backend-output", str(output))
     assert result.returncode == 2
-    assert "unrecognized arguments: --scenarios-quik" in result.stderr
+    assert "unrecognized arguments: --backend-quik" in result.stderr
     assert result.stdout == ""
     assert not output.exists()
 
 
 @pytest.mark.parametrize("group",
-                         ["kernels", "training", "serving", "sweep"])
+                         ["kernels", "training", "serving", "sweep",
+                          "scenarios"])
 def test_retired_groups_are_rejected(group):
     result = run("--only", group)
     assert result.returncode == 2
     assert f"invalid choice: '{group}'" in result.stderr
-    assert "--only {backend,scenarios}" in result.stderr
+    assert "--only {backend}" in result.stderr
