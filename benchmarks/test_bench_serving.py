@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
-from repro.serve import (ModelStore, ServeConfig, Server, run_load,
-                         verified_load)
+from repro.serve import ServeConfig, Server, run_load, verified_load
 from repro.serve.bench import deployment
+from repro.utils import save_model
 
 from .conftest import report, require_opt_in
 
@@ -76,7 +76,7 @@ def test_bench_serving_acceptance():
 def test_bench_replica_kill_retains_throughput(tmp_path):
     require_opt_in("replica-kill throughput bench")
     model, samples = _serving_model(), _samples(32)
-    artifact = ModelStore(tmp_path).save("bench-n20", model)
+    artifact = save_model(tmp_path / "bench-n20.npz", model)
     reference = model.inference_engine(precision="double").predict(samples)
     cases = {}
     for label, faults in (("no_fault", None),
@@ -112,8 +112,7 @@ def test_served_predictions_equal_serial(tmp_path):
     model = _serving_model()
     images = spawn_rng(22).random((17, 28, 28))
     serial = np.stack([model.predict(image[None])[0] for image in images])
-    store = ModelStore(tmp_path)
-    artifact = store.save("bench", model)
+    artifact = save_model(tmp_path / "bench.npz", model)
     config = ServeConfig(max_batch=8, max_delay=0.002, shards=2)
     with Server(artifact=artifact, config=config) as server:
         futures = [server.submit("predict", image) for image in images]

@@ -19,7 +19,6 @@ from repro.pipeline import (
     ExperimentConfig,
     run_recipe,
 )
-from repro.utils import save_phases
 
 
 def main() -> None:
@@ -35,7 +34,8 @@ def main() -> None:
     parser.add_argument("--epochs", type=int, default=12)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--save", type=str, default=None,
-                        help="optional .npz path for the trained masks")
+                        help="optional .npz path for the trained model "
+                             "artifact (servable with `repro serve`)")
     args = parser.parse_args()
 
     config = ExperimentConfig.laptop(
@@ -63,9 +63,8 @@ def main() -> None:
     print(f"wall time          : {result.wall_time:.0f}s")
 
     if args.save:
-        save_phases(args.save, result.model.phases(),
-                    result.model.sparsity_masks())
-        print(f"saved trained masks to {args.save}")
+        path = result.model.save(args.save)
+        print(f"saved trained model to {path}")
 
 
 if __name__ == "__main__":

@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_serve_args(p, model_required=True):
         p.add_argument("--model", required=model_required, metavar="PATH",
-                       help="model artifact saved with --save / ModelStore, "
+                       help="model artifact saved with --save, "
                             "or a run directory written by `repro run`")
         p.add_argument("--precision", choices=("single", "double"),
                        default=None,
@@ -787,7 +787,8 @@ def _bench_serve_model(args, samples) -> Optional[dict]:
     when recovery or the check failed."""
     from .serve import resolve_artifact
     from .serve.bench import deployment, verified_load
-    from .utils.serialization import load_model
+    from .utils.serialization import (load_model, read_model_header,
+                                      serving_precision)
 
     artifact = resolve_artifact(args.model)
     config = _serve_config(args)
@@ -796,8 +797,8 @@ def _bench_serve_model(args, samples) -> Optional[dict]:
     replicas = args.replicas if cluster else None
     with deployment(config, artifact, replicas=replicas,
                     hedge_ms=args.hedge_ms) as (target, load):
-        precision = (config.precision or "double") if cluster \
-            else target.resolved_precision()
+        precision = serving_precision(read_model_header(artifact),
+                                      config.precision)
         reference = (load_model(artifact).inference_engine(
             precision=precision).predict(samples) if args.check else None)
         if not plan:

@@ -287,8 +287,8 @@ class DONN(Module):
         bit-identical — 0 ULP, test-enforced) and any sparsity masks.
         ``precision`` optionally records the training precision, which
         becomes the serving default for this artifact.  Returns the
-        written path; reload with :meth:`DONN.load` or serve it via
-        :class:`repro.serve.ModelStore`.
+        written path; reload with :meth:`DONN.load` or serve it with
+        ``repro serve --model <path>``.
         """
         from ..utils.serialization import save_model
 

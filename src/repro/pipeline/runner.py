@@ -40,6 +40,7 @@ import numpy as np
 from ..data import Dataset
 from ..utils.backoff import Backoff
 from .config import ExperimentConfig
+from .experiment_io import apply_overrides
 from .recipes import RECIPES, RecipeResult, prepare_data, run_recipe
 
 __all__ = [
@@ -479,6 +480,14 @@ def run_table(
     return TableResult(config=config, results=results)
 
 
+#: ``run_sweep`` knobs -> the dotted config keys they override.
+_SWEEP_KEYS = {
+    "sparsity_ratio": "slr.sparsity_ratio",
+    "roughness_p": "roughness_p",
+    "intra_q": "intra_q",
+}
+
+
 def run_sweep(
     config: ExperimentConfig,
     parameter: str,
@@ -494,29 +503,14 @@ def run_sweep(
     ``"intra_q"``.  ``max_workers > 1`` runs the sweep points in
     parallel worker processes (deterministic; see the module docstring).
     """
+    key = _SWEEP_KEYS.get(parameter)
+    if key is None:
+        raise ValueError(
+            f"unknown sweep parameter {parameter!r}; expected "
+            "'sparsity_ratio', 'roughness_p' or 'intra_q'"
+        )
     if data is None:
         data = prepare_data(config)
-    tasks = []
-    for value in values:
-        if parameter == "sparsity_ratio":
-            varied = config.with_overrides(
-                slr=config.slr if value is None else
-                _replace_slr(config, sparsity_ratio=float(value))
-            )
-        elif parameter == "roughness_p":
-            varied = config.with_overrides(roughness_p=float(value))
-        elif parameter == "intra_q":
-            varied = config.with_overrides(intra_q=float(value))
-        else:
-            raise ValueError(
-                f"unknown sweep parameter {parameter!r}; expected "
-                "'sparsity_ratio', 'roughness_p' or 'intra_q'"
-            )
-        tasks.append((recipe, varied, False))
+    tasks = [(recipe, apply_overrides(config, {key: float(value)}), False)
+             for value in values]
     return _map_recipes(tasks, data, max_workers)
-
-
-def _replace_slr(config: ExperimentConfig, **changes):
-    from dataclasses import replace
-
-    return replace(config.slr, **changes)

@@ -12,8 +12,8 @@ recomputing — the recipe name and printed label, the full nested
 :meth:`~repro.pipeline.config.ExperimentConfig.to_dict`, headline
 metrics, and one record per executed stage (name, wall time, reported
 metrics).  ``model.npz`` is the same self-contained artifact
-:mod:`repro.serve` consumes, so ``repro serve --model <run-dir>`` works
-directly.
+:mod:`repro.serve` consumes, and :func:`resolve_artifact` finds it, so
+``repro serve --model <run-dir>`` works directly.
 
 :class:`RunResult` is the loaded view: it quacks like a
 :class:`~repro.pipeline.recipes.RecipeResult` for the table formatters
@@ -43,6 +43,7 @@ __all__ = [
     "RUN_FILE",
     "MODEL_FILE",
     "RunResult",
+    "resolve_artifact",
     "save_run",
     "load_run",
     "load_runs",
@@ -75,6 +76,44 @@ def _metric(metrics: Dict[str, Any], key: str, default: float) -> float:
     """Read a manifest metric; ``null`` (stored NaN) maps back to NaN."""
     value = metrics.get(key, default)
     return float("nan") if value is None else float(value)
+
+
+def _run_model(run_dir: Path) -> Path:
+    """The model artifact a run directory's manifest names;
+    :data:`MODEL_FILE` when it has no readable ``run.json``."""
+    name = MODEL_FILE
+    try:
+        name = json.loads((run_dir / RUN_FILE).read_text()).get("model", name)
+    except (OSError, json.JSONDecodeError, AttributeError):
+        pass
+    return run_dir / name
+
+
+def resolve_artifact(source: Union[str, Path]) -> Path:
+    """Resolve ``source`` to an existing model artifact file.
+
+    Accepts a direct path to an ``.npz`` artifact, a path missing the
+    suffix, or a run directory (the model its manifest names is
+    served); raises ``FileNotFoundError`` naming what was tried.
+    """
+    path = Path(source)
+    if path.is_dir():
+        candidate = _run_model(path)
+        if candidate.is_file():
+            return candidate
+        raise FileNotFoundError(
+            f"{path} is a directory but holds no {candidate.name} run "
+            "artifact"
+        )
+    candidates = [path]
+    if not str(source).endswith(".npz"):
+        candidates.append(Path(str(source) + ".npz"))
+    for candidate in candidates:
+        if candidate.is_file():
+            return candidate
+    raise FileNotFoundError(
+        f"no model artifact at {' or '.join(str(c) for c in candidates)}"
+    )
 
 
 def _run_dir_name(result: RecipeResult, config: ExperimentConfig,
@@ -209,7 +248,7 @@ class RunResult:
 
     @property
     def model_path(self) -> Path:
-        return self.path / MODEL_FILE
+        return _run_model(self.path)
 
     def load_model(self):
         """Rebuild the trained DONN from the run's model artifact."""

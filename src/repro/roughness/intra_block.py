@@ -18,6 +18,7 @@ import numpy as np
 from ..autodiff import Tensor, as_tensor
 from ..autodiff import functional as F
 from ..autodiff import ops
+from ..sparsify.blocks import check_blocking
 
 __all__ = ["block_variances", "intra_block_smoothness",
            "intra_block_tensor"]
@@ -28,13 +29,7 @@ def _check_blocking(shape: Tuple[int, int], block_size: int) -> Tuple[int, int]:
         raise ValueError(
             f"block size must be >= 2 for a variance, got {block_size}"
         )
-    rows, cols = shape
-    if rows % block_size or cols % block_size:
-        raise ValueError(
-            f"mask shape {shape} is not divisible into "
-            f"{block_size} x {block_size} blocks"
-        )
-    return rows // block_size, cols // block_size
+    return check_blocking(shape, block_size)
 
 
 def block_variances(phase: np.ndarray, block_size: int,

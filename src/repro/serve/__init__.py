@@ -2,10 +2,10 @@
 
 The serving story on top of :mod:`repro.runtime`:
 
-* :class:`ModelStore` — named, versioned, *self-contained* model
-  artifacts on disk (full geometry + detector spec + bit-exact weights);
-  ``store.engine(name)`` goes from disk to a compiled
-  :class:`~repro.runtime.InferenceEngine` in one call.
+* :func:`resolve_artifact` — finds the versioned, *self-contained*
+  model artifact (full geometry + detector spec + bit-exact weights,
+  written by :func:`repro.utils.save_model`) behind a file path or a
+  run directory.
 * :class:`MicroBatcher` — an asyncio request queue that coalesces
   concurrent single-sample requests into engine-sized batches
   (``max_batch`` / ``max_delay`` flush policy); coalesced predictions
@@ -36,6 +36,7 @@ injects deterministic chaos (kill/delay/error) for tests and
 See ``docs/serving.md`` for the architecture and the artifact format.
 """
 
+from ..pipeline.runs import resolve_artifact
 from .batching import MicroBatcher
 from .bench import http_sender, run_load, verified_load, write_snapshot
 from .cluster import ReplicaSet
@@ -52,11 +53,9 @@ from .faults import FaultPlan, FaultSpec
 from .http import HTTPFrontend
 from .router import BREAKER_STATES, MEMBER_STATES, Router, RouterConfig
 from .server import ServeConfig, Server
-from .store import ModelStore, resolve_artifact
 from .workers import REQUEST_KINDS, SHARD_STATES, ShardedPool
 
 __all__ = [
-    "ModelStore",
     "resolve_artifact",
     "MicroBatcher",
     "ShardedPool",

@@ -41,6 +41,8 @@ relayed immediately — they are the *request's* fault (or its deadline),
 not the replica's.  With ``hedge_ms`` set, a request still unanswered
 after that many milliseconds is duplicated to a second replica and the
 first answer wins (tail-latency insurance priced at one extra request).
+Each attempt runs on its own thread, so concurrent hedged requests never
+queue behind one another and the hedge timer measures the replica alone.
 
 Attempts travel over each member's pool of keep-alive connections;
 probes open a fresh connection each, so they also test that the
@@ -54,11 +56,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
@@ -95,6 +93,23 @@ _RELAY_HEADERS = ("Content-Type", "Retry-After")
 #: What a pooled keep-alive connection raises when the replica closed it
 #: while it sat idle (``RemoteDisconnected`` is a ``ConnectionResetError``).
 _STALE_ERRORS = (BrokenPipeError, ConnectionResetError)
+
+
+def _attempt(fn, *args) -> Future:
+    """Start ``fn(*args)`` now on its own daemon thread, behind a
+    ``Future``: a hedged request's attempts never wait for a worker."""
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+
+    def run() -> None:
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # noqa: BLE001 — relayed to caller
+            future.set_exception(exc)
+
+    threading.Thread(target=run, name="repro-router-attempt",
+                     daemon=True).start()
+    return future
 
 
 @dataclass(frozen=True)
@@ -278,7 +293,6 @@ class Router:
         self._draining = False
         self._stop = threading.Event()
         self._prober: Optional[threading.Thread] = None
-        self._hedge_pool: Optional[ThreadPoolExecutor] = None
         self._http: Optional[HTTPFrontend] = None
         # Seeded per router so chaos runs replay; distinct draws so
         # concurrent retries fan out in time.
@@ -510,10 +524,6 @@ class Router:
                 target=self._prober_loop, name="repro-router-prober",
                 daemon=True)
             self._prober.start()
-        if self.config.hedge_ms is not None and self._hedge_pool is None:
-            size = max(4, 2 * max(1, len(self._members)))
-            self._hedge_pool = ThreadPoolExecutor(
-                max_workers=size, thread_name_prefix="repro-router-hedge")
         return self
 
     def stop(self) -> None:
@@ -524,9 +534,6 @@ class Router:
         if self._http is not None:
             self._http.stop()
             self._http = None
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=False, cancel_futures=True)
-            self._hedge_pool = None
         idle: List[http.client.HTTPConnection] = []
         with self._lock:
             for member in self._members.values():
@@ -693,7 +700,7 @@ class Router:
             headers = dict(headers or {})
             headers.setdefault("Content-Type", "application/json")
             tried: set = set()
-            if self.config.hedge_ms is None or self._hedge_pool is None:
+            if self.config.hedge_ms is None:
                 response = self._forward_attempts(
                     method, path, body, headers, tried)
             else:
@@ -707,12 +714,11 @@ class Router:
                         headers: Dict[str, str], tried: set) -> _Response:
         """Primary attempt; if silent past ``hedge_ms``, duplicate to a
         replica the primary has not touched and take the first answer.
-        The loser is cancelled if unstarted, else runs to completion
-        and is discarded — the engine is deterministic and replicas are
-        stateless, so a duplicated request changes nothing."""
-        pool = self._hedge_pool
-        primary = pool.submit(self._forward_attempts, method, path, body,
-                              headers, tried)
+        The loser runs to completion and is discarded — the engine is
+        deterministic and replicas are stateless, so a duplicated
+        request changes nothing."""
+        primary = _attempt(self._forward_attempts, method, path, body,
+                           headers, tried)
         done, _ = wait([primary], timeout=self.config.hedge_ms / 1e3)
         if done:
             return primary.result()
@@ -720,18 +726,13 @@ class Router:
         # only risks the hedge landing on the primary's replica, which
         # is wasteful but harmless.
         hedge_tried = set(tried)
-        hedge = pool.submit(self._forward_attempts, method, path, body,
-                            headers, hedge_tried)
-        done, pending = wait([primary, hedge],
-                             timeout=self.config.request_timeout,
-                             return_when=FIRST_COMPLETED)
+        hedge = _attempt(self._forward_attempts, method, path, body,
+                         headers, hedge_tried)
+        done, _ = wait([primary, hedge],
+                       timeout=self.config.request_timeout,
+                       return_when=FIRST_COMPLETED)
         winner = hedge if hedge in done and primary not in done else primary
-        loser = primary if winner is hedge else hedge
-        if winner is hedge:
-            self._m_hedges.inc(outcome="won")
-        else:
-            self._m_hedges.inc(outcome="lost")
-        loser.cancel()
+        self._m_hedges.inc(outcome="won" if winner is hedge else "lost")
         return winner.result()
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The programmatic serving API: one object tying the stack together.
 
-``ModelStore artifact -> InferenceEngine shards -> MicroBatcher -> you``
+``model artifact -> InferenceEngine shards -> MicroBatcher -> you``
 
 :class:`Server` owns a :class:`~repro.serve.workers.ShardedPool` (N
 engines), an asyncio event loop running on a background thread, and a
@@ -13,10 +13,10 @@ stdlib HTTP/JSON (see :mod:`repro.serve.http`).
 
 Typical use::
 
-    from repro.serve import ModelStore, ServeConfig, Server
+    from repro.serve import ServeConfig, Server
 
-    store = ModelStore("artifacts/")
-    with Server(artifact=store.path("mnist"),
+    artifact = model.save("artifacts/mnist.npz")   # or a run directory
+    with Server(artifact=artifact,
                 config=ServeConfig(shards=2, max_batch=32)) as server:
         labels = server.predict(images)          # programmatic
         frontend = server.serve_http(port=8000)  # ... or HTTP
@@ -36,10 +36,12 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+from ..pipeline.runs import resolve_artifact
+from ..utils.serialization import (read_model_header, save_model,
+                                   serving_precision)
 from .batching import MicroBatcher
 from .errors import DeadlineExceeded, Draining, Overloaded
 from .faults import FaultPlan
-from .store import resolve_artifact
 from .workers import REQUEST_KINDS, ShardedPool
 
 __all__ = ["ServeConfig", "Server"]
@@ -126,8 +128,6 @@ class Server:
         if artifact is not None:
             artifact = resolve_artifact(artifact)
         elif self.config.backend == "process":
-            from ..utils.serialization import save_model
-
             handle, temp_path = tempfile.mkstemp(suffix=".npz",
                                                  prefix="repro-serve-")
             os.close(handle)
@@ -138,8 +138,6 @@ class Server:
         self.artifact = Path(artifact) if artifact is not None else None
         self._header: Optional[Dict[str, Any]] = None
         if self.artifact is not None:
-            from ..utils.serialization import read_model_header
-
             self._header = read_model_header(self.artifact)
         self._model = model
         self._metadata = dict(metadata or {})
@@ -280,17 +278,9 @@ class Server:
     def resolved_precision(self) -> str:
         """The engine precision this deployment serves at.
 
-        An explicit ``ServeConfig.precision`` always wins; otherwise
-        the artifact header's recorded training precision; ``"double"``
-        for headerless/live models and artifacts predating the field.
+        See :func:`~repro.utils.serialization.serving_precision`.
         """
-        if self.config.precision is not None:
-            return self.config.precision
-        if self._header is not None:
-            recorded = self._header.get("precision")
-            if recorded:
-                return recorded
-        return "double"
+        return serving_precision(self._header, self.config.precision)
 
     def submit(self, kind: str, sample, deadline_ms: Optional[float] = None):
         """Enqueue one sample; returns a ``concurrent.futures.Future``

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..optics.constants import TWO_PI
 from ..roughness.metrics import neighbor_offsets, roughness
+from ..sparsify.blocks import check_blocking
 
 __all__ = ["roughness_batch", "brute_force_offsets", "greedy_offsets"]
 
@@ -246,13 +247,8 @@ def _greedy(
         init, dtype=np.float64, copy=True)
     if offsets.shape != phase.shape:
         raise ValueError("init offsets shape mismatch")
-    if block_size is not None and (
-        block_size < 1 or phase.shape[0] % block_size
-        or phase.shape[1] % block_size
-    ):
-        raise ValueError(
-            f"block size {block_size} does not tile mask shape {phase.shape}"
-        )
+    if block_size is not None:
+        check_blocking(phase.shape, block_size)
     shape = phase.shape
     padded = np.pad(phase + offsets, 1)
 

@@ -1,4 +1,5 @@
-"""Small shared utilities: ASCII mask art, Pareto frontiers, checkpoints."""
+"""Small shared utilities: ASCII mask art, Pareto frontiers, the model
+artifact (:func:`save_model` / :func:`load_model`)."""
 
 from .ascii_art import render_mask, render_side_by_side
 from .interrupt import (
@@ -14,18 +15,14 @@ from .serialization import (
     dataclass_from_dict,
     dataclass_to_dict,
     load_model,
-    load_phases,
     read_model_header,
     save_model,
-    save_phases,
 )
 
 __all__ = [
     "render_mask",
     "render_side_by_side",
     "pareto_frontier",
-    "save_phases",
-    "load_phases",
     "save_model",
     "load_model",
     "read_model_header",

@@ -1,102 +1,41 @@
-"""Checkpointing: save and restore trained DONN artifacts as ``.npz`` files.
+"""The trained-model artifact: save and restore a DONN as one ``.npz``.
 
-Two formats live here:
-
-* :func:`save_phases` / :func:`load_phases` — the original *bare* phase
-  checkpoint (per-layer phases + optional sparsity masks, nothing else);
-  restoring one requires rebuilding the model geometry by hand.
-* :func:`save_model` / :func:`load_model` — the versioned *self-contained*
-  model artifact used by :mod:`repro.serve`: the full
-  :class:`~repro.donn.model.DONNConfig` (geometry, wavelength, pitch,
-  distances, detector layout, parametrization), the raw per-layer weights
-  (bit-exact — not the wrapped phase view, so a load reproduces the
-  original forward to 0 ULP), sparsity masks and free-form metadata, all
-  in one ``.npz``.  ``load_model`` rebuilds a ready-to-run
-  :class:`~repro.donn.model.DONN` with no other inputs.
+:func:`save_model` / :func:`load_model` write and read the versioned
+*self-contained* model artifact that run directories, ``repro serve``
+and replicas all consume: the full :class:`~repro.donn.model.DONNConfig`
+(geometry, wavelength, pitch, distances, detector layout,
+parametrization), the raw per-layer weights (bit-exact — not the
+wrapped phase view, so a load reproduces the original forward to
+0 ULP), sparsity masks and free-form metadata, all in one ``.npz``.
+``load_model`` rebuilds a ready-to-run :class:`~repro.donn.model.DONN`
+with no other inputs; :func:`read_model_header` reads just the header,
+and :func:`serving_precision` decides the precision it is served at.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 __all__ = [
-    "save_phases",
-    "load_phases",
     "save_model",
     "load_model",
     "read_model_header",
+    "serving_precision",
     "dataclass_to_dict",
     "dataclass_from_dict",
     "MODEL_FORMAT",
     "MODEL_FORMAT_VERSION",
 ]
 
-#: Identifies a self-contained model artifact (vs a bare phase checkpoint).
+#: Identifies a self-contained model artifact.
 MODEL_FORMAT = "repro-donn-model"
 #: Bump when the artifact layout changes incompatibly; ``load_model``
 #: rejects versions it does not understand instead of misreading them.
 MODEL_FORMAT_VERSION = 1
-
-
-def save_phases(
-    path: Union[str, Path],
-    phases: Sequence[np.ndarray],
-    masks: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> None:
-    """Save per-layer phases (and optional sparsity masks) to ``path``.
-
-    Stored keys: ``phase_0 .. phase_{L-1}`` and, where present,
-    ``mask_0 .. mask_{L-1}``.
-    """
-    payload = {f"phase_{i}": np.asarray(p) for i, p in enumerate(phases)}
-    if masks is not None:
-        if len(masks) != len(list(phases)):
-            raise ValueError(
-                f"{len(masks)} masks for {len(list(phases))} phase layers"
-            )
-        for i, mask in enumerate(masks):
-            if mask is not None:
-                payload[f"mask_{i}"] = np.asarray(mask)
-    np.savez(Path(path), **payload)
-
-
-def load_phases(path: Union[str, Path]):
-    """Load ``(phases, masks)`` saved by :func:`save_phases`.
-
-    ``masks`` entries are ``None`` for layers stored without one.
-    """
-    with np.load(Path(path)) as data:
-        if "header" in data.files:
-            raise ValueError(
-                f"{path} is a self-contained model artifact; load it "
-                "with load_model instead of load_phases"
-            )
-        indices = sorted(
-            int(key.split("_")[1]) for key in data.files
-            if key.startswith("phase_")
-        )
-        if not indices:
-            raise ValueError(
-                f"{path} holds no phase_* layers; not a phase checkpoint"
-            )
-        if indices != list(range(len(indices))):
-            raise ValueError(f"corrupt checkpoint: phase keys {indices}")
-        phases: List[np.ndarray] = [data[f"phase_{i}"] for i in indices]
-        masks = [
-            data[f"mask_{i}"] if f"mask_{i}" in data.files else None
-            for i in indices
-        ]
-    for index, (phase, mask) in enumerate(zip(phases, masks)):
-        if mask is not None and mask.shape != phase.shape:
-            raise ValueError(
-                f"corrupt checkpoint: mask_{index} has shape {mask.shape} "
-                f"but phase_{index} has shape {phase.shape}"
-            )
-    return phases, masks
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +108,8 @@ def save_model(
     ``metadata`` must be JSON-serializable (accuracy numbers, recipe
     names, training provenance — whatever the caller wants to carry).
     ``precision`` records the precision the model was trained at
-    (``"double"`` / ``"single"``); :class:`repro.serve.Server` uses it
-    as the default engine precision when serving the artifact.  Returns
+    (``"double"`` / ``"single"``); :func:`serving_precision` makes it
+    the default engine precision when serving the artifact.  Returns
     the written path.
     """
     from dataclasses import asdict
@@ -227,15 +166,12 @@ def read_model_header(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and validate just the JSON header of a model artifact.
 
     Cheap relative to :func:`load_model` (no weight arrays are
-    materialized); used by :class:`repro.serve.ModelStore` listings.
+    materialized); :class:`repro.serve.Server` reads it at startup.
     """
     path = Path(path)
     with np.load(path) as data:
         if "header" not in data.files:
-            raise ValueError(
-                f"{path} is not a model artifact (no header; bare phase "
-                "checkpoints load with load_phases)"
-            )
+            raise ValueError(f"{path} is not a model artifact (no header)")
         raw = bytes(data["header"].tobytes())
     try:
         header = json.loads(raw.decode("utf-8"))
@@ -253,6 +189,20 @@ def read_model_header(path: Union[str, Path]) -> Dict[str, Any]:
             f"(this build reads version {MODEL_FORMAT_VERSION})"
         )
     return header
+
+
+def serving_precision(header: Optional[Dict[str, Any]],
+                      precision: Optional[str] = None) -> str:
+    """The engine precision an artifact is served at.
+
+    An explicit ``precision`` (``ServeConfig.precision``) wins; else
+    the precision ``header`` recorded at training time; else
+    ``"double"`` (live models have no header, and artifacts may predate
+    the field).
+    """
+    if precision is not None:
+        return precision
+    return (header or {}).get("precision") or "double"
 
 
 def load_model(path: Union[str, Path]):

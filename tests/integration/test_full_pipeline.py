@@ -10,7 +10,7 @@ from repro.donn import DONN, DONNConfig, Trainer, accuracy
 from repro.roughness import RoughnessRegularizer, model_roughness
 from repro.sparsify import SLRConfig, SLRSparsifier
 from repro.twopi import TwoPiConfig, TwoPiOptimizer
-from repro.utils import load_phases, save_phases
+from repro.utils import load_model, save_model
 
 
 class TestTrainSparsifySmoothCheckpoint:
@@ -55,14 +55,9 @@ class TestTrainSparsifySmoothCheckpoint:
         assert acc_smoothed == pytest.approx(acc_before)
 
         # 4. Checkpoint round trip preserves everything.
-        path = tmp_path / "donn.npz"
-        save_phases(path, model.phases(), model.sparsity_masks())
-        phases, masks = load_phases(path)
-        clone = DONN(model.config, rng=spawn_rng(99))
-        clone.apply_sparsity_masks(masks)
-        clone.set_phases(phases)
+        clone = load_model(save_model(tmp_path / "donn.npz", model))
         assert accuracy(clone, test) == pytest.approx(accuracy(model, test))
-        assert 1.0 - masks[0].mean() == pytest.approx(3 / 16)
+        assert 1.0 - clone.sparsity_masks()[0].mean() == pytest.approx(3 / 16)
 
 
 class TestReproducibility:

@@ -405,6 +405,32 @@ class TestHedging:
         finally:
             router.stop()
 
+    def test_concurrent_hedged_requests_do_not_queue(self, stubs):
+        # Every attempt gets its own thread: 8 concurrent requests to
+        # replicas answering in 300 ms all finish in about 300 ms, not
+        # in waves behind a bounded pool.
+        for stub in stubs:
+            stub.delay_s = 0.3
+        router = make_router(stubs, hedge_ms=20.0)
+        router.start()
+        try:
+            statuses = []
+
+            def client():
+                statuses.append(router.forward("/v1/predict", BODY)[0])
+
+            workers = [threading.Thread(target=client) for _ in range(8)]
+            begin = time.perf_counter()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+            elapsed = time.perf_counter() - begin
+            assert statuses == [200] * 8
+            assert elapsed < 0.5
+        finally:
+            router.stop()
+
 
 class TestRouterHTTP:
     def test_end_to_end_over_socket(self, stubs):

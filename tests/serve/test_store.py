@@ -1,12 +1,12 @@
-"""ModelStore, the versioned self-contained artifact format, and the
-serving precision an artifact implies."""
+"""The versioned self-contained artifact format, how a path resolves to
+one, and the serving precision an artifact implies."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
 from repro.donn import DONN, DONNConfig
-from repro.serve import ModelStore, ServeConfig, Server, resolve_artifact
+from repro.serve import ServeConfig, Server, resolve_artifact
 from repro.utils import (
     MODEL_FORMAT,
     MODEL_FORMAT_VERSION,
@@ -94,18 +94,11 @@ class TestArtifactRoundTrip:
 
 class TestArtifactValidation:
     def test_bare_phase_checkpoint_rejected(self, tmp_path, model):
-        from repro.utils import save_phases
-
-        save_phases(tmp_path / "bare.npz", model.phases())
+        np.savez(tmp_path / "bare.npz",
+                 **{f"phase_{i}": phase
+                    for i, phase in enumerate(model.phases())})
         with pytest.raises(ValueError, match="not a model artifact"):
             load_model(tmp_path / "bare.npz")
-
-    def test_model_artifact_rejected_by_load_phases(self, tmp_path, model):
-        from repro.utils import load_phases
-
-        path = save_model(tmp_path / "m.npz", model)
-        with pytest.raises(ValueError, match="load_model"):
-            load_phases(path)
 
     def test_unknown_version_rejected(self, tmp_path, model):
         import json
@@ -141,44 +134,7 @@ class TestArtifactValidation:
             load_model(path)
 
 
-class TestModelStore:
-    def test_save_load_engine(self, tmp_path, model, images):
-        store = ModelStore(tmp_path / "store")
-        store.save("mnist/ours_c", model)
-        assert "mnist/ours_c" in store
-        assert store.list_models() == ["mnist/ours_c"]
-        engine = store.engine("mnist/ours_c")
-        np.testing.assert_array_equal(
-            engine.predict(images), model.predict(images)
-        )
-
-    def test_engine_kwargs_forwarded(self, tmp_path, model):
-        store = ModelStore(tmp_path / "store")
-        store.save("m", model)
-        engine = store.engine("m", precision="single", max_batch=7)
-        assert engine.precision == "single"
-        assert engine.max_batch == 7
-
-    def test_info_reads_header_only(self, tmp_path, model):
-        store = ModelStore(tmp_path / "store")
-        store.save("m", model, metadata={"note": "hi"})
-        info = store.info("m")
-        assert info["metadata"] == {"note": "hi"}
-        assert info["config"]["n"] == 16
-
-    def test_missing_artifact(self, tmp_path):
-        store = ModelStore(tmp_path / "store")
-        assert "ghost" not in store
-        with pytest.raises(FileNotFoundError):
-            store.load("ghost")
-
-    def test_name_escape_rejected(self, tmp_path):
-        store = ModelStore(tmp_path / "store")
-        with pytest.raises(ValueError):
-            store.path("../outside")
-        with pytest.raises(ValueError):
-            store.path("")
-
+class TestResolveArtifact:
     def test_resolve_artifact_adds_suffix(self, tmp_path, model):
         path = save_model(tmp_path / "m.npz", model)
         assert resolve_artifact(tmp_path / "m") == path

@@ -161,6 +161,51 @@ class TestCommands:
         assert main([command, "--model", "missing.npz", *flags]) == 2
         assert message in capsys.readouterr().err
 
+    def test_replica_check_reference_uses_artifact_precision(
+            self, capsys, monkeypatch, tmp_path):
+        # Replicas serve a single-precision artifact at single, so the
+        # --check reference must be built at single too.
+        import contextlib
+
+        import numpy as np
+
+        import repro.serve.bench as bench
+        import repro.utils.serialization as serialization
+        from repro.autodiff.rng import spawn_rng
+        from repro.donn import DONN, DONNConfig
+        from repro.obs.metrics import MetricsRegistry
+
+        model = DONN(DONNConfig.laptop(n=16, num_layers=1),
+                     rng=spawn_rng(0))
+        artifact = model.save(tmp_path / "m.npz", precision="single")
+        built = []
+
+        class Engine:
+            def predict(self, samples):
+                return np.zeros(len(samples), dtype=np.int64)
+
+        class Model:
+            def inference_engine(self, precision):
+                built.append(precision)
+                return Engine()
+
+        class Target:
+            metrics = MetricsRegistry()
+
+        @contextlib.contextmanager
+        def deployment(config, artifact, replicas=None, hedge_ms=None):
+            assert replicas == 2
+            yield Target(), {"send": lambda sample: 0,
+                             "health": lambda: {"status": "ok"}}
+
+        monkeypatch.setattr(bench, "deployment", deployment)
+        monkeypatch.setattr(serialization, "load_model",
+                            lambda path: Model())
+        assert main(["bench-serve", "--model", str(artifact),
+                     "--replicas", "2", "--check", "--requests", "4",
+                     "--concurrency", "2"]) == 0
+        assert built == ["single"]
+
 
 class TestRunCommand:
     def test_json_config_reproduces_recipe_output(self, capsys, tmp_path):

@@ -34,14 +34,16 @@ def test_quickstart_example(capsys):
 
 
 def test_train_physics_aware_example(capsys, tmp_path):
-    ckpt = tmp_path / "masks.npz"
+    from repro.utils import load_model
+
+    ckpt = tmp_path / "model.npz"
     run_example("train_physics_aware.py",
                 ["--recipe", "ours_a", "--n", "20", "--train", "60",
                  "--epochs", "1", "--save", str(ckpt)])
     out = capsys.readouterr().out
     assert "Ours-A" in out
     assert "R_overall" in out
-    assert ckpt.exists()
+    assert load_model(ckpt).config.n == 20
 
 
 def test_declarative_experiment_example(capsys, tmp_path):

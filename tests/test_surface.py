@@ -39,9 +39,6 @@ EXEMPT = {
     # The hook to the composed reference graph the fused op is tested
     # against.
     ("repro.autodiff.fused", "fused_disabled"),
-    # The reader for what examples/train_physics_aware.py writes with
-    # save_phases.
-    ("repro.utils.serialization", "load_phases"),
     # Used by the CI serve smoke and documented in docs/observability.md.
     ("repro.obs.metrics", "parse_prometheus"),
     # Documented in docs/performance.md.
@@ -242,8 +239,8 @@ def test_scanner_sees_attribute_import_and_local_references(referenced):
         ("repro.autodiff.rng", "get_rng"):                    # bare name
             "src/repro/autodiff/rng.py",
         ("repro.pipeline.stages", "RunContext"): "perfbench/probes.py",
-        ("repro.utils.serialization", "save_phases"):
-            "examples/train_physics_aware.py",
+        ("repro.utils.pareto", "pareto_frontier"):
+            "examples/hyperparameter_exploration.py",
         ("repro", "__version__"): "src/repro/serve/server.py",  # getattr
         ("repro.obs.compare", "bench_compare"):               # _LAZY
             "src/repro/cli.py",

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import (
-    load_phases,
-    pareto_frontier,
-    render_mask,
-    render_side_by_side,
-    save_phases,
-)
+from repro.utils import pareto_frontier, render_mask, render_side_by_side
 
 
 class TestRenderMask:
@@ -85,48 +79,15 @@ class TestParetoFrontier:
 
 
 class TestSerialization:
-    def test_roundtrip_phases_only(self, tmp_path):
-        phases = [np.random.default_rng(i).random((6, 6)) for i in range(3)]
-        path = tmp_path / "ckpt.npz"
-        save_phases(path, phases)
-        loaded, masks = load_phases(path)
-        assert len(loaded) == 3
-        assert all(np.array_equal(a, b) for a, b in zip(loaded, phases))
-        assert masks == [None, None, None]
-
-    def test_roundtrip_with_masks(self, tmp_path):
-        phases = [np.ones((4, 4)), np.zeros((4, 4))]
-        masks = [np.eye(4), None]
-        path = tmp_path / "ckpt.npz"
-        save_phases(path, phases, masks)
-        loaded_phases, loaded_masks = load_phases(path)
-        assert np.array_equal(loaded_masks[0], np.eye(4))
-        assert loaded_masks[1] is None
-
-    def test_mask_count_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_phases(tmp_path / "x.npz", [np.ones((2, 2))], [None, None])
-
-    def test_mask_shape_mismatch_rejected_on_load(self, tmp_path):
-        # A checkpoint whose stored mask does not match its phase layer
-        # must fail loudly instead of loading silently.
-        path = tmp_path / "bad.npz"
-        np.savez(path, phase_0=np.ones((4, 4)), mask_0=np.ones((2, 2)))
-        with pytest.raises(ValueError, match="mask_0"):
-            load_phases(path)
-
     def test_model_roundtrip(self, tmp_path):
+        # The artifact carries its own geometry: no config is passed back.
         from repro.autodiff.rng import spawn_rng
         from repro.donn import DONN, DONNConfig
+        from repro.utils import load_model, save_model
 
         model = DONN(DONNConfig.laptop(n=16, num_layers=2,
                                        detector_region_size=2),
                      rng=spawn_rng(0))
-        path = tmp_path / "model.npz"
-        save_phases(path, model.phases(), model.sparsity_masks())
-        phases, _ = load_phases(path)
-        clone = DONN(model.config, rng=spawn_rng(99))
-        clone.set_phases(phases)
+        clone = load_model(save_model(tmp_path / "model.npz", model))
         images = spawn_rng(1).random((2, 28, 28))
-        assert np.allclose(clone(images).data, model(images).data,
-                           atol=1e-7)
+        assert np.array_equal(clone(images).data, model(images).data)
