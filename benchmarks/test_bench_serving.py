@@ -41,14 +41,15 @@ def _samples(count):
     return np.random.default_rng(0).random((count, 28, 28))
 
 
-def test_bench_serving_acceptance():
+def test_bench_serving_acceptance(tmp_path):
     require_opt_in("serving throughput bench")
-    model, samples = _serving_model(), _samples(64)
+    artifact = save_model(tmp_path / "bench-n20.npz", _serving_model())
+    samples = _samples(64)
     cases = {}
     for batch in (1, ACCEPTANCE_BATCH):
         config = ServeConfig(precision="double", max_batch=batch,
                              max_delay=0.005)
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             server.warmup()
             cases[batch] = run_load(
                 lambda sample: server.submit("predict", sample).result(),

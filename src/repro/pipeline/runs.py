@@ -269,6 +269,8 @@ def load_run(path: Union[str, Path]) -> RunResult:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{manifest_path}: corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("format") != RUN_FORMAT:
         raise ValueError(
             f"{manifest_path}: unknown run format "

@@ -425,6 +425,8 @@ def read_manifest(sweep_dir: Union[str, Path]) -> Dict[str, Any]:
             f"no {SWEEP_FILE} in {sweep_dir}; not a sweep directory"
         )
     manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: sweep manifest is not a JSON object")
     if manifest.get("format") != SWEEP_FORMAT:
         raise ValueError(f"{path}: unknown sweep format "
                          f"{manifest.get('format')!r}")

@@ -25,20 +25,17 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.runs import resolve_artifact
-from ..utils.serialization import (read_model_header, save_model,
-                                   serving_precision)
+from ..utils.serialization import read_model_header, serving_precision
 from .batching import MicroBatcher
 from .errors import DeadlineExceeded, Draining, Overloaded
 from .faults import FaultPlan
@@ -65,7 +62,7 @@ class ServeConfig:
 
     ``precision=None`` (the default) means "whatever the artifact was
     trained at": the artifact header's recorded training precision, or
-    ``"double"`` when it carries none (and for live models).
+    ``"double"`` when it carries none.
 
     Fault tolerance (see ``docs/serving.md``):
 
@@ -109,38 +106,16 @@ class ServeConfig:
 class Server:
     """Batched, sharded inference over one model artifact.
 
-    Exactly one of ``model`` / ``artifact`` is required.  A live model
-    with the ``"process"`` backend is persisted to a temporary artifact
-    first (child processes rebuild their engines from disk).
+    ``artifact`` is a :func:`~repro.utils.serialization.save_model` file
+    or a run directory (see :func:`~repro.pipeline.runs.resolve_artifact`);
+    its header is validated here, before anything is served.
     """
 
-    def __init__(
-        self,
-        model=None,
-        artifact: Optional[Union[str, Path]] = None,
-        config: Optional[ServeConfig] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        if (model is None) == (artifact is None):
-            raise ValueError("pass exactly one of model= or artifact=")
+    def __init__(self, artifact: Union[str, Path],
+                 config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self._owns_artifact = False
-        if artifact is not None:
-            artifact = resolve_artifact(artifact)
-        elif self.config.backend == "process":
-            handle, temp_path = tempfile.mkstemp(suffix=".npz",
-                                                 prefix="repro-serve-")
-            os.close(handle)
-            artifact = save_model(temp_path, model,
-                                  metadata={"transient": True})
-            self._owns_artifact = True
-            model = None
-        self.artifact = Path(artifact) if artifact is not None else None
-        self._header: Optional[Dict[str, Any]] = None
-        if self.artifact is not None:
-            self._header = read_model_header(self.artifact)
-        self._model = model
-        self._metadata = dict(metadata or {})
+        self.artifact = resolve_artifact(artifact)
+        self._header: Dict[str, Any] = read_model_header(self.artifact)
         self._pool: Optional[ShardedPool] = None
         self._batcher: Optional[MicroBatcher] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -193,8 +168,7 @@ class Server:
                 )
             cfg = self.config
             self._pool = ShardedPool(
-                model=self._model,
-                artifact=self.artifact,
+                self.artifact,
                 shards=cfg.shards,
                 backend=cfg.backend,
                 precision=self.resolved_precision(),
@@ -236,9 +210,7 @@ class Server:
             self._draining = True
 
     def stop(self) -> None:
-        """Tear the stack down; safe to call twice (and before start —
-        a never-started process-backend server still cleans up its
-        transient artifact)."""
+        """Tear the stack down; safe to call twice (and before start)."""
         self.begin_drain()
         with self._lock:
             self._closed = True
@@ -259,12 +231,6 @@ class Server:
             self._loop_thread.join(timeout=10)
             loop.close()
             self._loop = self._batcher = self._pool = None
-        if self._owns_artifact and self.artifact is not None:
-            self._owns_artifact = False
-            try:
-                self.artifact.unlink()
-            except OSError:
-                pass
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -409,31 +375,21 @@ class Server:
     def info(self) -> Dict[str, Any]:
         """Model + deployment description (the ``/v1/model`` payload)."""
         cfg = self.config
-        info: Dict[str, Any] = {
-            "artifact": str(self.artifact) if self.artifact else None,
+        header = self._header
+        return {
+            "artifact": str(self.artifact),
             "precision": self.resolved_precision(),
             "max_batch": cfg.max_batch,
             "max_delay": cfg.max_delay,
             "shards": cfg.shards,
             "backend": cfg.backend,
             "kinds": list(REQUEST_KINDS),
-            "metadata": self._metadata,
+            "model": {
+                "config": header["config"],
+                "num_layers": header["num_layers"],
+                "metadata": header.get("metadata", {}),
+            },
         }
-        if self._header is not None:
-            info["model"] = {
-                "config": self._header["config"],
-                "num_layers": self._header["num_layers"],
-                "metadata": self._header.get("metadata", {}),
-            }
-        elif self._model is not None:
-            from dataclasses import asdict
-
-            info["model"] = {
-                "config": asdict(self._model.config),
-                "num_layers": len(self._model.layers),
-                "metadata": {},
-            }
-        return info
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe snapshot with a fixed shape: ``started``,
@@ -527,6 +483,6 @@ class Server:
 
     def __repr__(self) -> str:
         return (
-            f"Server(artifact={str(self.artifact) if self.artifact else None!r}, "
+            f"Server(artifact={str(self.artifact)!r}, "
             f"config={self.config}, started={self._started})"
         )

@@ -15,16 +15,18 @@ Backends
     Shards are single-worker thread executors inside this process.  All
     engines share the process-wide propagation-kernel cache (one ``H``
     total) and scratch buffers are per-thread, so memory overhead per
-    extra shard is just its padded scratch planes.  scipy's FFT releases
-    the GIL, which is where the parallelism comes from.
+    extra shard is its weights and padded scratch planes.  scipy's FFT
+    releases the GIL, which is where the parallelism comes from.
 ``"process"``
-    Shards are single-worker *process* executors; each child loads the
-    model artifact once (pool initializer) and builds a private engine —
-    the same kernel-cache semantics, now per process.  Requires an
-    artifact path (a live model is persisted to a temp artifact by
-    :class:`~repro.serve.server.Server` first), costs one interpreter
-    spawn + import per shard up front, and pays a pickle round trip per
-    batch; worth it for CPU-bound double-precision loads.
+    Shards are single-worker *process* executors; each child builds its
+    engine once (pool initializer) — the same kernel-cache semantics,
+    now per process.  Costs one interpreter spawn + import per shard up
+    front and a pickle round trip per batch; worth it for CPU-bound
+    double-precision loads.
+
+Either way a shard's engine is ``load_model(artifact).inference_engine(
+precision=..., max_batch=...)`` (:func:`_shard_engine`), built afresh
+from the artifact on every respawn.
 
 Supervision
 -----------
@@ -95,22 +97,25 @@ _WORKER_ENGINE = None
 _WORKER_FAULTS: Optional[ShardFaultState] = None
 
 
+def _shard_engine(artifact: str, precision: str, engine_batch: int):
+    """Load the artifact and compile one shard's engine."""
+    from ..utils.serialization import load_model
+
+    return load_model(artifact).inference_engine(
+        precision=precision, max_batch=engine_batch
+    )
+
+
 def _init_process_shard(artifact: str, precision: str, engine_batch: int,
                         plan: Optional[FaultPlan], shard_index: int) -> None:
-    """Pool initializer: load the artifact and compile the shard engine.
+    """Pool initializer: build the shard engine in the child.
 
     The shard runs one FFT thread: the shards, not the transforms,
     share the CPUs.
     """
     global _WORKER_ENGINE, _WORKER_FAULTS
-    from ..utils.serialization import load_model
-
     set_workers(1)
-
-    model = load_model(artifact)
-    _WORKER_ENGINE = model.inference_engine(
-        precision=precision, max_batch=engine_batch
-    )
+    _WORKER_ENGINE = _shard_engine(artifact, precision, engine_batch)
     _WORKER_FAULTS = (
         ShardFaultState(plan.for_shard(shard_index)) if plan else None
     )
@@ -223,11 +228,8 @@ class ShardedPool(Supervisor):
 
     Parameters
     ----------
-    model:
-        A live :class:`~repro.donn.model.DONN` (thread backend only).
     artifact:
-        Path to a :func:`~repro.utils.serialization.save_model` artifact;
-        required by the process backend, accepted by both.
+        Path to a :func:`~repro.utils.serialization.save_model` artifact.
     shards:
         Number of workers, each holding one engine.
     backend:
@@ -254,8 +256,7 @@ class ShardedPool(Supervisor):
 
     def __init__(
         self,
-        model=None,
-        artifact: Optional[Union[str, Path]] = None,
+        artifact: Union[str, Path],
         shards: int = 1,
         backend: str = "thread",
         precision: str = "double",
@@ -273,12 +274,11 @@ class ShardedPool(Supervisor):
             )
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if model is None and artifact is None:
-            raise ValueError("ShardedPool needs a model or an artifact path")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self._shards: List[_Shard] = []
         super().__init__(self._shards, max_restarts, scope="shard")
+        self.artifact = str(artifact)
         self.shards = int(shards)
         self.backend = backend
         self.precision = precision
@@ -286,22 +286,6 @@ class ShardedPool(Supervisor):
         self.max_retries = int(max_retries)
         self._backoff = Backoff(backoff_base, backoff_cap, seed=0x5EED)
         self._rr = itertools.count()
-
-        if backend == "process":
-            if artifact is None:
-                raise ValueError(
-                    "the process backend loads its engines from disk; pass "
-                    "artifact= (Server persists live models automatically)"
-                )
-            self.artifact = str(artifact)
-            self.model = None
-        else:
-            if model is None:
-                from ..utils.serialization import load_model
-
-                model = load_model(artifact)
-            self.artifact = str(artifact) if artifact is not None else None
-            self.model = model
         for index in range(self.shards):
             plan = faults if faults else None
             executor, run = self._build_worker(index, plan)
@@ -372,9 +356,8 @@ class ShardedPool(Supervisor):
                           plan, index),
             )
             return executor, _run_process_shard
-        engine = self.model.inference_engine(
-            precision=self.precision, max_batch=self.engine_batch
-        )
+        engine = _shard_engine(self.artifact, self.precision,
+                               self.engine_batch)
         fault_state = (
             ShardFaultState(plan.for_shard(index)) if plan else None
         )

@@ -61,8 +61,9 @@ def dataclass_from_dict(cls, data: Dict[str, Any], context: str = ""):
 
     ``context`` prefixes error messages (e.g. the nested-config key the
     dict came from) so a bad experiment file points at the exact field.
-    Missing keys fall back to the dataclass defaults; the class's own
-    ``__post_init__`` validation still applies.
+    Missing keys fall back to the dataclass defaults, and a missing key
+    without one is rejected by name; the class's own ``__post_init__``
+    validation still applies.
     """
     import dataclasses
 
@@ -73,14 +74,24 @@ def dataclass_from_dict(cls, data: Dict[str, Any], context: str = ""):
         raise ValueError(
             f"expected a mapping{where}, got {type(data).__name__}"
         )
-    names = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    prefix = f"{context}." if context else ""
     unknown = sorted(set(data) - names)
     if unknown:
-        where = f"{context}." if context else ""
         raise ValueError(
             f"unknown {cls.__name__} key(s): "
-            f"{', '.join(where + key for key in unknown)} "
+            f"{', '.join(prefix + key for key in unknown)} "
             f"(known: {', '.join(sorted(names))})"
+        )
+    missing = [f.name for f in fields
+               if f.init and f.name not in data
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(
+            f"missing {cls.__name__} key(s): "
+            f"{', '.join(prefix + key for key in missing)}"
         )
     return cls(**data)
 
@@ -177,6 +188,8 @@ def read_model_header(path: Union[str, Path]) -> Dict[str, Any]:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt artifact header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: artifact header is not a JSON object")
     if header.get("format") != MODEL_FORMAT:
         raise ValueError(
             f"{path}: unknown artifact format {header.get('format')!r} "
@@ -191,18 +204,17 @@ def read_model_header(path: Union[str, Path]) -> Dict[str, Any]:
     return header
 
 
-def serving_precision(header: Optional[Dict[str, Any]],
+def serving_precision(header: Dict[str, Any],
                       precision: Optional[str] = None) -> str:
     """The engine precision an artifact is served at.
 
     An explicit ``precision`` (``ServeConfig.precision``) wins; else
     the precision ``header`` recorded at training time; else
-    ``"double"`` (live models have no header, and artifacts may predate
-    the field).
+    ``"double"`` (artifacts may predate the field).
     """
     if precision is not None:
         return precision
-    return (header or {}).get("precision") or "double"
+    return header.get("precision") or "double"
 
 
 def load_model(path: Union[str, Path]):

@@ -59,6 +59,23 @@ class TestDictRoundTrip:
         with pytest.raises(ValueError, match=r"slr\.warp_factor"):
             ExperimentConfig.from_dict(data)
 
+    def test_missing_required_key_rejected_by_name(self):
+        with pytest.raises(ValueError,
+                           match=r"missing ExperimentConfig key\(s\): system"):
+            ExperimentConfig.from_dict({"family": "digits"})
+
+    def test_missing_nested_key_named_with_context(self):
+        from dataclasses import dataclass
+
+        from repro.utils import dataclass_from_dict
+
+        @dataclass
+        class Inner:
+            size: int
+
+        with pytest.raises(ValueError, match=r"outer\.size"):
+            dataclass_from_dict(Inner, {}, context="outer")
+
     def test_post_init_validation_still_applies(self):
         data = ExperimentConfig.laptop("digits", n=20).to_dict()
         data["family"] = "klingon"

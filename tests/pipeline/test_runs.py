@@ -207,6 +207,19 @@ class TestLoadRunsAndTables:
             runs = load_runs(tmp_path)
         assert [run.path.name for run in runs] == ["good"]
 
+    def test_non_object_manifest_is_skipped_by_name(self, baseline_run,
+                                                    tmp_path):
+        # Valid JSON that is not an object is as corrupt as a torn file.
+        cfg, result = baseline_run
+        save_run(result, cfg, tmp_path, name="good")
+        bad = save_run(result, cfg, tmp_path, name="bad")
+        (bad / RUN_FILE).write_text("[]")
+        with pytest.raises(ValueError, match=r"bad.*not a JSON object"):
+            load_run(bad)
+        with pytest.warns(RuntimeWarning, match="skipping corrupt"):
+            runs = load_runs(tmp_path)
+        assert [run.path.name for run in runs] == ["good"]
+
     def test_load_runs_all_corrupt_rejected(self, baseline_run, tmp_path):
         cfg, result = baseline_run
         run_dir = save_run(result, cfg, tmp_path, name="only")

@@ -25,6 +25,7 @@ from repro.pipeline.sweep import (
     expand_points,
     format_sweep,
     parse_faults,
+    read_manifest,
     run_sweep_dir,
     validate_sweep_spec,
 )
@@ -220,6 +221,12 @@ class TestSerialSweep:
     def test_fresh_sweep_refuses_existing_dir(self, serial_reference):
         with pytest.raises(FileExistsError, match="resume"):
             run_sweep_dir(serial_reference, spec=TINY_SPEC)
+
+    def test_non_object_manifest_rejected_by_name(self, tmp_path):
+        (tmp_path / SWEEP_FILE).write_text("[]")
+        with pytest.raises(ValueError,
+                           match=f"{SWEEP_FILE}.*not a JSON object"):
+            read_manifest(tmp_path)
 
     def test_resume_missing_dir_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -14,20 +14,7 @@ import urllib.request
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.donn import DONN, DONNConfig
 from repro.serve import ReplicaSet, Router, RouterConfig, ServeConfig
-from repro.utils.serialization import save_model
-
-
-@pytest.fixture(scope="module")
-def model():
-    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
-
-
-@pytest.fixture(scope="module")
-def artifact(model, tmp_path_factory):
-    path = tmp_path_factory.mktemp("cluster") / "model.npz"
-    return str(save_model(path, model))
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.donn import DONN, DONNConfig
 from repro.serve import (
     DeadlineExceeded,
     Draining,
@@ -30,11 +29,6 @@ from repro.serve import (
     Server,
     ShardedPool,
 )
-
-
-@pytest.fixture(scope="module")
-def model():
-    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -129,14 +123,14 @@ class TestReplicaScope:
 
 
 class TestSupervision:
-    def test_kill_recovers_byte_identical(self, model, images):
+    def test_kill_recovers_byte_identical(self, model, artifact, images):
         # A shard dies mid-load; its batch is retried on the healthy
         # shard and the respawned worker rejoins — results identical to
         # the no-fault path the whole time.
         serial = model.predict(images)
         config = ServeConfig(max_batch=3, max_delay=0.005, shards=2,
                              faults="kill:shard=1,after=1")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             server.warmup()  # batch 0 on each shard
             served = server.predict(images)
             assert server.settle(timeout=10.0)
@@ -152,12 +146,12 @@ class TestSupervision:
             assert health["failures"] >= 1
             assert health["retries"] >= 1
 
-    def test_repeated_kills_quarantine_shard(self, model, images):
+    def test_repeated_kills_quarantine_shard(self, model, artifact, images):
         # Two configured kills + max_restarts=1: the second death is one
         # respawn too many, the shard is quarantined, the pool degrades
         # but keeps serving from the survivor.
         serial = model.predict(images)
-        with ShardedPool(model=model, shards=2, max_restarts=1,
+        with ShardedPool(artifact=artifact, shards=2, max_restarts=1,
                          faults=FaultPlan.parse(
                              "kill:shard=0; kill:shard=0")) as pool:
             served = pool.run("predict", images)
@@ -174,8 +168,8 @@ class TestSupervision:
             assert health["shards"][0]["state"] == "quarantined"
             assert health["shards"][1]["state"] == "ok"
 
-    def test_all_quarantined_raises_no_healthy_shards(self, model, images):
-        pool = ShardedPool(model=model, shards=1, max_restarts=0,
+    def test_all_quarantined_raises_no_healthy_shards(self, artifact, images):
+        pool = ShardedPool(artifact=artifact, shards=1, max_restarts=0,
                            max_retries=0,
                            faults=FaultPlan.parse("kill:shard=0"))
         try:
@@ -188,11 +182,11 @@ class TestSupervision:
         finally:
             pool.close()
 
-    def test_retry_budget_exhaustion_propagates(self, model, images):
+    def test_retry_budget_exhaustion_propagates(self, artifact, images):
         # More deaths than the retry budget: the caller sees the fatal
         # error instead of the pool spinning forever.
         plan = FaultPlan.parse("; ".join(["kill:shard=0"] * 4))
-        pool = ShardedPool(model=model, shards=1, max_retries=1,
+        pool = ShardedPool(artifact=artifact, shards=1, max_retries=1,
                            max_restarts=10, backoff_base=0.005, faults=plan)
         try:
             with pytest.raises(Exception) as info:
@@ -203,10 +197,11 @@ class TestSupervision:
         finally:
             pool.close()
 
-    def test_error_fault_propagates_without_respawn(self, model, images):
+    def test_error_fault_propagates_without_respawn(self, model, artifact,
+                                                    images):
         # Application-level failures are the request's problem, not the
         # shard's: no respawn, no retry, next batch is fine.
-        with ShardedPool(model=model, shards=1,
+        with ShardedPool(artifact=artifact, shards=1,
                          faults=FaultPlan.parse(
                              "error:shard=0,after=0")) as pool:
             with pytest.raises(FaultInjected):
@@ -216,8 +211,8 @@ class TestSupervision:
             assert pool.health()["restarts"] == 0
             assert pool.retries == 0
 
-    def test_delay_fault_slows_batch(self, model, images):
-        with ShardedPool(model=model, shards=1,
+    def test_delay_fault_slows_batch(self, artifact, images):
+        with ShardedPool(artifact=artifact, shards=1,
                          faults=FaultPlan.parse(
                              "delay:shard=0,ms=80,after=0")) as pool:
             begin = time.monotonic()
@@ -227,11 +222,10 @@ class TestSupervision:
             pool.run("predict", images[:1])
             assert time.monotonic() - begin < 0.06
 
-    def test_process_backend_kill_recovers(self, tmp_path, model, images):
+    def test_process_backend_kill_recovers(self, model, artifact, images):
         # The real thing: a child process dies via os._exit, the
         # executor breaks with BrokenProcessPool, and the supervisor
         # recovers byte-identically.
-        artifact = model.save(tmp_path / "m.npz")
         serial = model.predict(images)
         config = ServeConfig(max_batch=4, max_delay=0.005, shards=2,
                              backend="process",
@@ -251,17 +245,17 @@ class TestSupervision:
 
 
 class TestDeadlines:
-    def test_expired_on_arrival(self, model, images):
-        with Server(model=model) as server:
+    def test_expired_on_arrival(self, artifact, images):
+        with Server(artifact=artifact) as server:
             server.warmup()
             with pytest.raises(DeadlineExceeded):
                 server.predict(images[0], deadline_ms=0)
 
-    def test_queued_request_fails_at_deadline(self, model, images):
+    def test_queued_request_fails_at_deadline(self, artifact, images):
         # max_delay is a full second; the 40 ms deadline must fire the
         # expiry sweep long before the flush timer would.
         config = ServeConfig(max_batch=64, max_delay=1.0)
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             server.warmup()
             begin = time.monotonic()
             with pytest.raises(DeadlineExceeded):
@@ -269,28 +263,28 @@ class TestDeadlines:
             assert time.monotonic() - begin < 0.8
             assert server.stats()["batcher"]["expired"] == 1
 
-    def test_default_deadline_from_config(self, model, images):
+    def test_default_deadline_from_config(self, artifact, images):
         config = ServeConfig(max_batch=64, max_delay=1.0,
                              default_deadline_ms=40)
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             server.warmup()
             with pytest.raises(DeadlineExceeded):
                 server.predict(images[0])
 
-    def test_undeadlined_requests_unaffected(self, model, images):
-        with Server(model=model) as server:
+    def test_undeadlined_requests_unaffected(self, model, artifact, images):
+        with Server(artifact=artifact) as server:
             assert np.array_equal(server.predict(images),
                                   model.predict(images))
             assert server.stats()["batcher"]["expired"] == 0
 
 
 class TestBackpressure:
-    def test_overloaded_beyond_admission_window(self, model, images):
+    def test_overloaded_beyond_admission_window(self, artifact, images):
         # A slow shard (delay fault) keeps two requests in flight; the
         # third submit must be shed immediately, not queued.
         config = ServeConfig(max_batch=1, max_delay=0.0, max_inflight=2,
                              faults="delay:shard=0,ms=300,after=0,times=8")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             first = server.submit("predict", images[0])
             second = server.submit("predict", images[1])
             with pytest.raises(Overloaded) as info:
@@ -301,8 +295,8 @@ class TestBackpressure:
             # Window drains -> admission reopens.
             server.submit("predict", images[2]).result()
 
-    def test_drain_refuses_new_work(self, model, images):
-        with Server(model=model) as server:
+    def test_drain_refuses_new_work(self, artifact, images):
+        with Server(artifact=artifact) as server:
             server.warmup()
             server.begin_drain()
             assert server.health()["status"] == "draining"
@@ -324,8 +318,8 @@ class TestHTTPFaultMapping:
         except urllib.error.HTTPError as exc:
             return exc.code, dict(exc.headers), json.loads(exc.read())
 
-    def test_deadline_maps_to_504(self, model, images):
-        with Server(model=model) as server:
+    def test_deadline_maps_to_504(self, artifact, images):
+        with Server(artifact=artifact) as server:
             url = server.serve_http(port=0).url
             status, _, payload = self.post(
                 url, "/v1/predict",
@@ -339,9 +333,9 @@ class TestHTTPFaultMapping:
                 headers={"X-Deadline-Ms": "0"})
             assert status == 504
 
-    def test_saturation_maps_to_429_with_retry_after(self, model, images):
+    def test_saturation_maps_to_429_with_retry_after(self, artifact, images):
         config = ServeConfig(max_inflight=0)  # everything is overload
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             url = server.serve_http(port=0).url
             status, headers, payload = self.post(
                 url, "/v1/predict", {"inputs": images[0].tolist()})
@@ -349,8 +343,8 @@ class TestHTTPFaultMapping:
             assert float(headers["Retry-After"]) > 0
             assert "max_inflight" in payload["error"]
 
-    def test_drain_maps_to_503_and_healthz_follows(self, model, images):
-        with Server(model=model) as server:
+    def test_drain_maps_to_503_and_healthz_follows(self, artifact, images):
+        with Server(artifact=artifact) as server:
             url = server.serve_http(port=0).url
             server.warmup()
             server.begin_drain()
@@ -363,8 +357,8 @@ class TestHTTPFaultMapping:
             assert info.value.code == 503
             assert json.loads(info.value.read())["status"] == "draining"
 
-    def test_bad_deadline_maps_to_400(self, model, images):
-        with Server(model=model) as server:
+    def test_bad_deadline_maps_to_400(self, artifact, images):
+        with Server(artifact=artifact) as server:
             url = server.serve_http(port=0).url
             status, _, _ = self.post(
                 url, "/v1/predict",
@@ -375,13 +369,13 @@ class TestHTTPFaultMapping:
                 {"inputs": images[0].tolist(), "deadline_ms": -5})
             assert status == 400
 
-    def test_healthz_reports_degraded_during_recovery(self, model, images):
+    def test_healthz_reports_degraded_during_recovery(self, artifact, images):
         # Kill one shard, poll /healthz through the window: it must
         # pass through degraded (HTTP 200 — still serving) and settle
         # back to ok.
         config = ServeConfig(max_batch=2, max_delay=0.005, shards=2,
                              faults="kill:shard=1,after=1")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             url = server.serve_http(port=0).url
             server.warmup()
             seen = set()

@@ -14,22 +14,16 @@ import time
 
 import pytest
 
-from repro.autodiff.rng import spawn_rng
-from repro.donn import DONN, DONNConfig
 from repro.serve import Router, RouterConfig, ServeConfig, Server
-from repro.serve.http import _MAX_BODY
-
-
-@pytest.fixture(scope="module")
-def model():
-    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
+from repro.serve.http import _MAX_BODY, JSONHandler
 
 
 @contextlib.contextmanager
-def replica_and_router(model):
+def replica_and_router(artifact):
     """``{"replica": url, "router": url}``: one replica, one router in
     front of it."""
-    with Server(model=model, config=ServeConfig(max_batch=4)) as server:
+    config = ServeConfig(max_batch=4)
+    with Server(artifact=artifact, config=config) as server:
         replica = server.serve_http(port=0).url
         router = Router(endpoints=[("r0", replica)],
                         config=RouterConfig(rejoin_after=1))
@@ -60,8 +54,8 @@ def request(url, method, path, body=None, headers=()):
 
 
 class TestFrontendParity:
-    def test_same_404_envelope(self, model):
-        with replica_and_router(model) as urls:
+    def test_same_404_envelope(self, artifact):
+        with replica_and_router(artifact) as urls:
             for method, body in (("GET", None), ("POST", b"{}")):
                 answers = {role: request(url, method, "/nope", body)
                            for role, url in urls.items()}
@@ -70,8 +64,8 @@ class TestFrontendParity:
                 assert answers["replica"][2] == {
                     "error": "unknown path /nope"}
 
-    def test_same_400_and_close_for_oversized_content_length(self, model):
-        with replica_and_router(model) as urls:
+    def test_same_400_and_close_for_oversized_content_length(self, artifact):
+        with replica_and_router(artifact) as urls:
             answers = {
                 role: request(url, "POST", "/v1/predict", headers=[
                     ("Content-Type", "application/json"),
@@ -83,8 +77,8 @@ class TestFrontendParity:
         assert connection == "close"
         assert "Content-Length" in payload["error"]
 
-    def test_same_drain_answer(self, model):
-        with replica_and_router(model) as urls:
+    def test_same_drain_answer(self, artifact):
+        with replica_and_router(artifact) as urls:
             for url in urls.values():
                 assert request(url, "POST", "/admin/drain", b"{}")[::2] == (
                     200, {"status": "draining"})
@@ -93,7 +87,7 @@ class TestFrontendParity:
                 assert health["status"] == "draining"
 
 
-    def test_same_411_and_close_for_chunked_body(self, model):
+    def test_same_411_and_close_for_chunked_body(self, artifact):
         # A chunked body has no Content-Length; read as empty, its chunk
         # bytes would stay on the socket and be parsed as the next
         # request.  The frontend answers once and closes instead.
@@ -103,7 +97,7 @@ class TestFrontendParity:
                b"Transfer-Encoding: chunked\r\n\r\n"
                + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
                + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
-        with replica_and_router(model) as urls:
+        with replica_and_router(artifact) as urls:
             for url in urls.values():
                 host, port = url.split("://", 1)[1].rsplit(":", 1)
                 with socket.create_connection((host, int(port)),
@@ -130,16 +124,40 @@ KEEPALIVE_REQUESTS = (
 )
 
 
+def test_both_frontends_disable_nagle_on_accepted_sockets(artifact,
+                                                          monkeypatch):
+    # The cause of the delayed-ACK stall below, checked without a
+    # clock: TCP_NODELAY is set on every socket either frontend accepts.
+    nodelay = {}
+    setup = JSONHandler.setup
+
+    def recording_setup(self):
+        setup(self)
+        nodelay[self.connection.getsockname()[1]] = \
+            self.connection.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+
+    monkeypatch.setattr(JSONHandler, "setup", recording_setup)
+    with replica_and_router(artifact) as urls:
+        for url in urls.values():
+            assert request(url, "GET", "/healthz")[0] == 200
+    seen = {role: nodelay.get(int(url.rsplit(":", 1)[1]))
+            for role, url in urls.items()}
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("method,path,payload", KEEPALIVE_REQUESTS,
                          ids=[path for _, path, _ in KEEPALIVE_REQUESTS])
 def test_keepalive_requests_answer_without_delayed_ack_stall(
-        model, method, path, payload):
+        artifact, method, path, payload):
     # With Nagle on, a response's body write waits for the ACK of its
     # header write, which the client delays ~40 ms on a reused
-    # connection; TCP_NODELAY on the frontend removes the stall.
+    # connection; TCP_NODELAY on the frontend removes the stall.  The
+    # bound sits between scheduling noise on a busy shared box (medians
+    # of 10-15 ms seen) and the stall.
     body = None if payload is None else json.dumps(payload).encode()
     headers = {} if body is None else {"Content-Type": "application/json"}
-    with replica_and_router(model) as urls:
+    with replica_and_router(artifact) as urls:
         for role, url in urls.items():
             host, port = url.split("://", 1)[1].rsplit(":", 1)
             conn = http.client.HTTPConnection(host, int(port), timeout=10)
@@ -154,14 +172,14 @@ def test_keepalive_requests_answer_without_delayed_ack_stall(
                     assert response.status == 200
             finally:
                 conn.close()
-            assert statistics.median(elapsed) < 0.010, (role, elapsed)
+            assert statistics.median(elapsed) < 0.025, (role, elapsed)
 
 
-def test_connection_burst_does_not_stall_on_backlog(model):
+def test_connection_burst_does_not_stall_on_backlog(artifact):
     # 64 clients connecting in the same instant overflow a listen
     # backlog of 5; every overflowed SYN waits ~1 s to be retransmitted.
     clients = 64
-    with Server(model=model) as server:
+    with Server(artifact=artifact) as server:
         url = server.serve_http(port=0).url
         start = threading.Barrier(clients)
         elapsed = [None] * clients

@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.donn import DONN, DONNConfig
 from repro.serve import ServeConfig, Server
-
-
-@pytest.fixture(scope="module")
-def model():
-    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +20,9 @@ def images():
 
 
 @pytest.fixture(scope="module")
-def served(model):
+def served(artifact):
     config = ServeConfig(max_batch=4, max_delay=0.005)
-    with Server(model=model, config=config) as server:
+    with Server(artifact=artifact, config=config) as server:
         frontend = server.serve_http(port=0)  # ephemeral port
         yield server, frontend.url
 
@@ -184,15 +178,15 @@ class TestIdentityAndDrain:
         assert payload["version"] == repro.__version__
         assert payload["uptime_s"] >= 0
 
-    def test_replica_id_is_exposed(self, model):
+    def test_replica_id_is_exposed(self, artifact):
         config = ServeConfig(max_batch=4, replica_id="r7")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             url = server.serve_http(port=0).url
             _, payload = get(url, "/healthz")
             assert payload["replica_id"] == "r7"
 
-    def test_uptime_advances(self, model):
-        with Server(model=model) as server:
+    def test_uptime_advances(self, artifact):
+        with Server(artifact=artifact) as server:
             url = server.serve_http(port=0).url
             _, first = get(url, "/healthz")
             import time
@@ -201,8 +195,8 @@ class TestIdentityAndDrain:
             _, second = get(url, "/healthz")
             assert second["uptime_s"] > first["uptime_s"] >= 0
 
-    def test_admin_drain_endpoint(self, model):
-        with Server(model=model) as server:
+    def test_admin_drain_endpoint(self, artifact):
+        with Server(artifact=artifact) as server:
             url = server.serve_http(port=0).url
             status, payload = post(url, "/admin/drain", {})
             assert status == 200
@@ -211,14 +205,14 @@ class TestIdentityAndDrain:
                 urllib.request.urlopen(url + "/healthz", timeout=30)
             assert info.value.code == 503
 
-    def test_retry_after_is_jittered(self, model, images):
+    def test_retry_after_is_jittered(self, artifact, images):
         # max_inflight=0 makes every request shed with 429; the
         # suggested retry is max_delay * 4 = 1.0s, jittered into
         # [0.75, 1.25) so herds of retrying clients spread out.
         from repro.serve.http import RETRY_AFTER_JITTER
 
         config = ServeConfig(max_inflight=0, max_delay=0.25)
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             url = server.serve_http(port=0).url
             seen = []
             for _ in range(20):
@@ -237,11 +231,11 @@ class TestIdentityAndDrain:
 
 
 class TestClientDisconnect:
-    def test_early_hangup_is_counted_without_a_traceback(self, model,
+    def test_early_hangup_is_counted_without_a_traceback(self, artifact,
                                                          images, capfd):
         config = ServeConfig(max_batch=4, max_delay=0.001,
                              faults="delay:shard=0,ms=300,times=100")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             host, port = server.serve_http(port=0).address
             body = json.dumps({"inputs": images[0].tolist()}).encode()
             client = socket.create_connection((host, port), timeout=10)

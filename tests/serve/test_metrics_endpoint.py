@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.donn import DONN, DONNConfig
 from repro.obs.metrics import parse_prometheus
 from repro.serve import (
     DeadlineExceeded,
@@ -21,11 +20,6 @@ from repro.serve import (
     Server,
     ShardedPool,
 )
-
-
-@pytest.fixture(scope="module")
-def model():
-    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +35,9 @@ def _flat_samples(text):
 
 
 class TestMetricsUnderLoad:
-    def test_counters_match_stats_ground_truth(self, model, images):
+    def test_counters_match_stats_ground_truth(self, artifact, images):
         config = ServeConfig(max_batch=4, max_delay=0.005)
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             for _ in range(2):
                 for sample in images:
                     server.submit("predict", sample).result()
@@ -66,10 +60,10 @@ class TestMetricsUnderLoad:
         assert flat["repro_batcher_batch_size_sum"] == \
             counters["requests"]
 
-    def test_two_servers_do_not_double_count(self, model, images):
+    def test_two_servers_do_not_double_count(self, artifact, images):
         config = ServeConfig(max_batch=4, max_delay=0.005)
-        with Server(model=model, config=config) as one, \
-                Server(model=model, config=config) as two:
+        with Server(artifact=artifact, config=config) as one, \
+                Server(artifact=artifact, config=config) as two:
             one.submit("predict", images[0]).result()
             flat_one = _flat_samples(one.metrics_text())
             flat_two = _flat_samples(two.metrics_text())
@@ -80,9 +74,9 @@ class TestMetricsUnderLoad:
 
 
 class TestMetricsEndpoint:
-    def test_scrape_over_http(self, model, images):
+    def test_scrape_over_http(self, artifact, images):
         config = ServeConfig(max_batch=4, max_delay=0.005)
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             frontend = server.serve_http(port=0)
             for sample in images[:4]:
                 server.submit("predict", sample).result()
@@ -100,10 +94,10 @@ class TestMetricsEndpoint:
 
 
 class TestMetricsUnderFaults:
-    def test_kill_respawn_visible_in_metrics(self, model, images):
+    def test_kill_respawn_visible_in_metrics(self, artifact, images):
         config = ServeConfig(max_batch=3, max_delay=0.005, shards=2,
                              faults="kill:shard=1,after=1")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             server.warmup()
             server.predict(images)
             assert server.settle(timeout=10.0)
@@ -142,13 +136,13 @@ class TestMetricsUnderFaults:
         assert flat["repro_pool_quarantined_shards"] == 0
 
     def test_served_answers_stay_correct_while_scraping(self, model,
-                                                        images):
+                                                        artifact, images):
         # Scrapes race the fault-handling hot path; answers must stay
         # byte-identical to the serial engine throughout.
         serial = model.predict(images)
         config = ServeConfig(max_batch=3, max_delay=0.005, shards=2,
                              faults="kill:shard=1,after=1")
-        with Server(model=model, config=config) as server:
+        with Server(artifact=artifact, config=config) as server:
             server.warmup()
             served = server.predict(images)
             for _ in range(5):
@@ -160,12 +154,12 @@ class TestStatsReadTheRegistry:
     """A component built without a registry counts into a private one,
     and its stats() is a view over exactly those instruments."""
 
-    def test_batcher_pool_and_cache_stats_equal_own_metrics(self, model,
-                                                            images):
+    def test_batcher_pool_and_cache_stats_equal_own_metrics(
+            self, model, artifact, images):
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
-        pool = ShardedPool(model=model, shards=2,
+        pool = ShardedPool(artifact=artifact, shards=2,
                            faults=FaultPlan.parse("kill:shard=1,after=1"))
         batcher = MicroBatcher(pool, loop, max_batch=3, max_delay=0.005)
         try:

@@ -115,6 +115,15 @@ class TestArtifactValidation:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    def test_non_object_header_rejected(self, tmp_path, model):
+        path = save_model(tmp_path / "m.npz", model)
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["header"] = np.frombuffer(b"[]", dtype=np.uint8)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=r"m\.npz.*not a JSON object"):
+            read_model_header(path)
+
     def test_missing_weight_rejected(self, tmp_path, model):
         path = save_model(tmp_path / "m.npz", model)
         with np.load(path) as data:
@@ -241,9 +250,6 @@ class TestArtifactPrecisionResolution:
         path = model.save(tmp_path / "m.npz")
         server = Server(artifact=path)
         assert server.resolved_precision() == "double"
-
-    def test_live_model_defaults_to_double(self, model):
-        assert Server(model=model).resolved_precision() == "double"
 
     def test_served_engine_runs_at_artifact_precision(self, tmp_path,
                                                       model, images):

@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.donn import DONN, DONNConfig
 from repro.serve import FaultPlan, ServeConfig, Server, ShardedPool
 from repro.serve.workers import Member, Supervisor, rollup
-
-
-@pytest.fixture(scope="module")
-def model():
-    return DONN(DONNConfig.laptop(n=16), rng=spawn_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -23,14 +17,15 @@ def images():
 
 
 class TestShardInvariance:
-    def test_results_identical_across_shard_counts(self, model, images):
+    def test_results_identical_across_shard_counts(self, model, artifact,
+                                                   images):
         # Every shard computes the same pure function: labels must be
         # byte-identical no matter how traffic is split.
         serial = model.predict(images)
         for shards in (1, 2, 3):
             config = ServeConfig(max_batch=4, max_delay=0.005,
                                  shards=shards)
-            with Server(model=model, config=config) as server:
+            with Server(artifact=artifact, config=config) as server:
                 served = server.predict(images)
                 dispatched = server.stats()["pool"]["dispatched"]
             assert np.array_equal(served, serial), f"shards={shards}"
@@ -39,49 +34,44 @@ class TestShardInvariance:
                 # Work actually spread across workers.
                 assert sum(1 for count in dispatched if count) > 1
 
-    def test_logits_shard_invariant(self, model, images):
+    def test_logits_shard_invariant(self, model, artifact, images):
         reference = model.inference_engine().logits(images)
         for shards in (1, 3):
-            with ShardedPool(model=model, shards=shards) as pool:
+            with ShardedPool(artifact=artifact, shards=shards) as pool:
                 got = pool.run("logits", images)
             assert np.abs(got - reference).max() < 1e-12
 
 
 class TestDispatch:
-    def test_least_loaded_round_robin(self, model, images):
-        with ShardedPool(model=model, shards=3) as pool:
+    def test_least_loaded_round_robin(self, artifact, images):
+        with ShardedPool(artifact=artifact, shards=3) as pool:
             for _ in range(6):
                 pool.run("predict", images[:1])
             stats = pool.stats()
         # Idle shards rotate: six sequential batches land two per shard.
         assert stats["dispatched"] == [2, 2, 2]
 
-    def test_unknown_kind_rejected(self, model):
-        with ShardedPool(model=model) as pool:
+    def test_unknown_kind_rejected(self, artifact):
+        with ShardedPool(artifact=artifact) as pool:
             with pytest.raises(ValueError, match="kind"):
                 pool.submit("evaluate", np.zeros((1, 8, 8)))
 
-    def test_submit_after_close_rejected(self, model):
-        pool = ShardedPool(model=model)
+    def test_submit_after_close_rejected(self, artifact):
+        pool = ShardedPool(artifact=artifact)
         pool.close()
         with pytest.raises(RuntimeError):
             pool.submit("predict", np.zeros((1, 8, 8)))
 
-    def test_bad_construction(self, model):
+    def test_bad_construction(self, artifact):
         with pytest.raises(ValueError):
-            ShardedPool(model=model, shards=0)
+            ShardedPool(artifact=artifact, shards=0)
         with pytest.raises(ValueError):
-            ShardedPool(model=model, backend="fiber")
-        with pytest.raises(ValueError):
-            ShardedPool()  # neither model nor artifact
-        with pytest.raises(ValueError):
-            ShardedPool(model=model, backend="process")  # needs artifact
+            ShardedPool(artifact=artifact, backend="fiber")
 
 
 class TestProcessBackend:
-    def test_process_shards_match_serial(self, tmp_path, model, images):
+    def test_process_shards_match_serial(self, model, artifact, images):
         serial = model.predict(images)
-        artifact = model.save(tmp_path / "m.npz")
         config = ServeConfig(max_batch=4, max_delay=0.005, shards=2,
                              backend="process")
         with Server(artifact=artifact, config=config) as server:
@@ -91,23 +81,6 @@ class TestProcessBackend:
         assert np.array_equal(served, serial)
         assert stats["backend"] == "process"
 
-    def test_live_model_is_persisted_to_temp_artifact(self, model, images):
-        config = ServeConfig(shards=1, backend="process", max_batch=4,
-                             max_delay=0.005)
-        server = Server(model=model, config=config)
-        assert server.artifact is not None
-        with server:
-            served = server.predict(images[:4])
-        assert np.array_equal(served, model.predict(images[:4]))
-        # The transient artifact is cleaned up on stop.
-        assert not server.artifact.exists()
-
-    def test_never_started_server_cleans_temp_artifact(self, model):
-        config = ServeConfig(backend="process")
-        server = Server(model=model, config=config)
-        assert server.artifact.exists()
-        server.stop()  # stop before start must still clean up
-        assert not server.artifact.exists()
 
 
 class TestSupervisor:

@@ -255,6 +255,16 @@ class TestRunCommand:
                      "--set", "twopi.iterations=10"]) == 0
         assert "Noise-inject" in capsys.readouterr().out
 
+    def test_config_missing_required_key_fails_cleanly(self, capsys,
+                                                       tmp_path):
+        config_file = tmp_path / "exp.json"
+        config_file.write_text(json.dumps(
+            {"recipe": "baseline", "config": {"family": "digits"}}))
+        assert main(["run", str(config_file), "--runs-dir",
+                     str(tmp_path / "runs")]) == 2
+        assert "missing ExperimentConfig key(s): system" in \
+            capsys.readouterr().err
+
     def test_unknown_recipe_fails_cleanly(self, capsys, tmp_path):
         assert main(["run", "ours_z", "--runs-dir",
                      str(tmp_path / "runs")]) == 2
