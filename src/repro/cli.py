@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
              "diverge)",
     )
     sweep_p.add_argument("--verbose", action="store_true",
-                         help="per-epoch training progress (serial path)")
+                         help="per-epoch training progress")
 
     report = sub.add_parser(
         "report",
@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument(
         "--runs-dir", default=None, metavar="DIR",
-        help="also persist every recipe as a run directory under DIR "
-             "(re-renderable later with `repro report DIR`)",
+        help="keep the table's sweep directory at DIR (sweep.json plus "
+             "one run directory per recipe under DIR/runs; re-renderable "
+             "later with `repro report DIR`)",
     )
 
     solvers = sub.add_parser("solvers",
@@ -610,8 +611,12 @@ def _cmd_recipe(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = run_table(_config(args), max_workers=args.max_workers,
-                      runs_dir=args.runs_dir)
+    try:
+        table = run_table(_config(args), max_workers=args.max_workers,
+                          runs_dir=args.runs_dir)
+    except FileExistsError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(format_table(table))
     print()
     print(format_comparison(table))

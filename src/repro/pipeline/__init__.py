@@ -9,14 +9,15 @@
 * :func:`register_recipe` — declare new scenarios as stage lists; the
   paper's five recipes are themselves registry entries;
 * :func:`run_recipe` — one table row (baseline / Ours-A..D / custom);
-* :func:`run_table` — a full Tables II-V reproduction (optionally
-  persisted to run directories);
-* :func:`run_sweep` — the Fig. 6 hyperparameter explorations;
+* :func:`run_table` — a full Tables II-V reproduction, run as a
+  ``recipe``-axis sweep;
+* :func:`run_sweep` — the Fig. 6 hyperparameter explorations, run as
+  one-knob sweeps;
 * :func:`save_run` / :func:`load_runs` / :func:`table_from_runs` —
   self-describing run directories, re-renderable without recompute;
 * :mod:`~repro.pipeline.sweep` — resumable grid/random sweeps
-  (``repro sweep``): supervised parallel driver, per-point event logs,
-  crash-safe checkpoints and ``--resume``;
+  (``repro sweep``), the one grid driver: supervised parallel points,
+  per-point event logs, crash-safe checkpoints and ``--resume``;
 * :data:`PAPER_TABLES` — the published numbers for comparison.
 """
 

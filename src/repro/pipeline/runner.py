@@ -1,12 +1,14 @@
 """Table runner: regenerate the paper's Tables II-V and Fig. 6 sweeps.
 
-``run_table`` and ``run_sweep`` accept ``max_workers`` to fan their
-recipes out across worker processes.  Every recipe re-seeds the global
-RNG from its config at the start of
-:func:`~repro.pipeline.recipes.run_recipe`, so each result is a pure
-function of ``(recipe, config, data)`` — the parallel path is
-byte-identical to the serial one regardless of worker scheduling
-(test-enforced).
+A table is a grid over the ``recipe`` axis and a Fig. 6 exploration a
+grid over one knob, so ``run_table`` and ``run_sweep`` build a sweep
+spec and run it through the one grid driver,
+:func:`~repro.pipeline.sweep.run_sweep_dir`: every point is persisted
+as a run directory, and the rows come back read from disk.  Every
+recipe re-seeds the global RNG from its config at the start of
+:func:`~repro.pipeline.recipes.run_recipe`, so each row is a pure
+function of ``(recipe, config, data)`` and ``max_workers > 1`` is
+byte-identical to the serial path (test-enforced).
 
 Fan-out goes through :class:`SupervisedPool`, the fault-tolerant
 sibling of the serving layer's ``ShardedPool``
@@ -24,24 +26,18 @@ from __future__ import annotations
 import heapq
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-import numpy as np
+from dataclasses import dataclass
+from tempfile import TemporaryDirectory
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..data import Dataset
 from ..utils.backoff import Backoff
 from .config import ExperimentConfig
-from .experiment_io import apply_overrides
-from .recipes import RECIPES, RecipeResult, prepare_data, run_recipe
+from .recipes import RECIPES
+
+if TYPE_CHECKING:
+    from .runs import RunResult
 
 __all__ = [
     "PAPER_TABLES",
@@ -89,16 +85,16 @@ PAPER_TABLES: Dict[str, Dict[str, Tuple[float, float, Optional[float]]]] = {
 
 @dataclass
 class TableResult:
-    """All rows of one reproduced table."""
+    """All rows of one reproduced table, in row order."""
 
     config: ExperimentConfig
-    results: List[RecipeResult]
+    results: List[RunResult]
 
     @property
     def paper_dataset(self) -> str:
         return self.config.paper_dataset
 
-    def by_recipe(self) -> Dict[str, RecipeResult]:
+    def by_recipe(self) -> Dict[str, RunResult]:
         return {result.recipe: result for result in self.results}
 
     def paper_rows(self) -> Dict[str, Tuple[float, float, Optional[float]]]:
@@ -359,94 +355,36 @@ class SupervisedPool:
             self.on_event(event, **fields)
 
 
-#: Per-worker dataset stash: the (train, test) pair is shipped once per
-#: worker process via the pool initializer instead of once per task
-#: (paper-scale datasets are hundreds of MB; recipes share one split).
-_WORKER_DATA: Optional[Tuple[Dataset, Dataset]] = None
+def _run_grid(spec: Dict[str, Any],
+              data: Optional[Tuple[Dataset, Dataset]], verbose: bool,
+              max_workers: Optional[int],
+              sweep_dir: Optional[str] = None) -> List[RunResult]:
+    """Run a grid ``spec`` as a persisted sweep into ``sweep_dir`` (a
+    temporary directory when ``None``) and return its stored rows
+    in point order.
 
-
-def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
-                 precision_name: str) -> None:
-    """Pool initializer: stash the shared dataset and mirror the parent's
-    process-wide toggles — the FFT backend and the ambient precision
-    policy (spawn-based platforms re-import the package, so programmatic
-    ``set_backend`` / ``set_precision`` calls would otherwise be lost —
-    and with them the byte-identical-to-serial guarantee).  Each worker
-    runs one FFT thread: the workers, not the transforms, share the
-    CPUs."""
-    global _WORKER_DATA
-    _WORKER_DATA = data
-    import signal
-
-    from ..backend import set_backend, set_precision, set_workers
-
-    # Ctrl-C belongs to the orchestrator: it decides whether to drain
-    # gracefully or hard-exit.  Workers ignoring SIGINT keeps a terminal
-    # Ctrl-C (delivered to the whole foreground process group) from
-    # looking like a worker crash.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    set_backend(backend_name)
-    set_precision(precision_name)
-    set_workers(1)
-
-
-def _recipe_task(task: tuple) -> RecipeResult:
-    """Module-level worker so ProcessPoolExecutor can pickle it."""
-    recipe, config, verbose = task
-    return run_recipe(recipe, config, data=_WORKER_DATA, verbose=verbose)
-
-
-def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
-                 max_workers: Optional[int],
-                 max_retries: int = 2,
-                 timeout_s: Optional[float] = None,
-                 on_event: Optional[Callable[..., None]] = None,
-                 ) -> List[RecipeResult]:
-    """Run ``(recipe, config, verbose)`` tasks over a shared ``data``
-    split, fanning out across worker processes when ``max_workers > 1``.
-
-    Results preserve task order.  Each worker receives the dataset once
-    (initializer), and ``run_recipe`` re-seeds the global RNG
-    deterministically, so results do not depend on which process (or in
-    what order) a recipe ran — or on how many times a crashed point was
-    retried by the :class:`SupervisedPool`.
-
-    This is the strict entry point (tables want all rows): a point that
-    still has no result after supervision raises ``RuntimeError``.  The
-    sweep driver (:mod:`repro.pipeline.sweep`) uses the pool directly
-    and records failures instead.
+    Strict: a point that failed or did not run raises ``RuntimeError``
+    naming it, because a table or a figure wants every row.
     """
-    if max_workers is None or max_workers <= 1 or len(tasks) <= 1:
-        return [
-            run_recipe(recipe, config, data=data, verbose=verbose)
-            for recipe, config, verbose in tasks
-        ]
-    from ..backend import backend_name, get_precision
+    from .runs import RUNS_SUBDIR, load_run
+    from .sweep import run_sweep_dir
 
-    pool = SupervisedPool(
-        _recipe_task,
-        max_workers=min(int(max_workers), len(tasks)),
-        max_retries=max_retries,
-        timeout_s=timeout_s,
-        initializer=_init_worker,
-        initargs=(data, backend_name(), get_precision().name),
-        on_event=on_event,
-    )
-    outcomes = pool.run(tasks)
-    failed = [o for o in outcomes if o is None or not o.ok]
-    if failed:
-        parts = []
-        for outcome in failed:
-            if outcome is None or outcome.failure is None:
-                parts.append("point did not run")
-                continue
-            f = outcome.failure
-            parts.append(f"{tasks[f.index][0]}: {f.error_type} after "
-                         f"{f.attempts} attempt(s): {f.message}")
-        raise RuntimeError(
-            f"{len(failed)} of {len(tasks)} recipe task(s) failed: "
-            + "; ".join(parts))
-    return [outcome.result for outcome in outcomes]
+    if sweep_dir is None:
+        with TemporaryDirectory() as tmp:
+            return _run_grid(spec, data, verbose, max_workers, tmp)
+    summary = run_sweep_dir(sweep_dir, spec, data=data,
+                            max_workers=max_workers or 1, verbose=verbose)
+    reasons = {f["point"]: f"{f['error_type']} after {f['attempts']} "
+                           f"attempt(s): {f['message']}"
+               for f in summary.failures}
+    missing = [f"{name}: {reasons.get(name, 'did not run')}"
+               for name, status in summary.statuses.items()
+               if status != "done"]
+    if missing:
+        raise RuntimeError(f"{len(missing)} of {len(summary.statuses)} "
+                           "point(s) failed: " + "; ".join(missing))
+    return [load_run(summary.sweep_dir / RUNS_SUBDIR / name)
+            for name in summary.statuses]
 
 
 def run_table(
@@ -459,25 +397,17 @@ def run_table(
 ) -> TableResult:
     """Run every requested recipe on one dataset (one paper table).
 
+    The table is a sweep with a ``recipe`` axis, persisted into
+    ``runs_dir`` (``sweep.json`` plus ``runs/<point>/``; re-renderable
+    with ``repro report``) or into a temporary directory.  A directory
+    that already holds a sweep raises ``FileExistsError``.  ``data``
+    is the shared ``(train, test)`` split, used as given.
     ``max_workers > 1`` fans the recipes out across that many worker
-    processes (results are byte-identical to the serial path; see the
-    module docstring).  ``runs_dir`` persists each result as a
-    self-describing run directory (see :mod:`repro.pipeline.runs`), so
-    the table can later be re-rendered without recompute via
-    ``table_from_runs`` / ``repro report``.
+    processes; results are byte-identical to the serial path.
     """
-    if data is None:
-        data = prepare_data(config)
-    results = _map_recipes(
-        [(recipe, config, verbose) for recipe in recipes],
-        data, max_workers,
-    )
-    if runs_dir is not None:
-        from .runs import save_run
-
-        for result in results:
-            save_run(result, config, runs_dir)
-    return TableResult(config=config, results=results)
+    spec = {"config": config.to_dict(), "grid": {"recipe": list(recipes)}}
+    return TableResult(config=config, results=_run_grid(
+        spec, data, verbose, max_workers, runs_dir))
 
 
 #: ``run_sweep`` knobs -> the dotted config keys they override.
@@ -495,13 +425,14 @@ def run_sweep(
     recipe: str = "ours_c",
     data: Optional[Tuple[Dataset, Dataset]] = None,
     max_workers: Optional[int] = None,
-) -> List[RecipeResult]:
+) -> List[RunResult]:
     """Hyperparameter exploration (Fig. 6b-d): rerun ``recipe`` while
     varying one knob.
 
     ``parameter`` is one of ``"sparsity_ratio"``, ``"roughness_p"``,
-    ``"intra_q"``.  ``max_workers > 1`` runs the sweep points in
-    parallel worker processes (deterministic; see the module docstring).
+    ``"intra_q"``.  The points run as a one-axis sweep in a temporary
+    directory (like :func:`run_table`); the stored rows come back in
+    ``values`` order.
     """
     key = _SWEEP_KEYS.get(parameter)
     if key is None:
@@ -509,8 +440,6 @@ def run_sweep(
             f"unknown sweep parameter {parameter!r}; expected "
             "'sparsity_ratio', 'roughness_p' or 'intra_q'"
         )
-    if data is None:
-        data = prepare_data(config)
-    tasks = [(recipe, apply_overrides(config, {key: float(value)}), False)
-             for value in values]
-    return _map_recipes(tasks, data, max_workers)
+    spec = {"config": config.to_dict(), "recipe": recipe,
+            "grid": {key: [float(value) for value in values]}}
+    return _run_grid(spec, data, False, max_workers)

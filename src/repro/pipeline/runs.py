@@ -57,6 +57,8 @@ RUN_FORMAT_VERSION = 1
 
 RUN_FILE = "run.json"
 MODEL_FILE = "model.npz"
+#: Sub-directory of a sweep (or table) directory holding its point runs.
+RUNS_SUBDIR = "runs"
 
 
 def _json_safe(value: Any) -> Any:
@@ -304,7 +306,11 @@ def load_run(path: Union[str, Path]) -> RunResult:
 def load_runs(root: Union[str, Path],
               strict: bool = False) -> List[RunResult]:
     """Load every run directory under ``root`` (or ``root`` itself when
-    it is a single run directory), sorted by directory name.
+    it is a single run directory), sorted by path.
+
+    The run directories are ``root``'s children and, when ``root`` is a
+    sweep or table directory, the children of its ``runs/``
+    sub-directory; runs ``repro run`` left next to a sweep stay visible.
 
     A corrupt run directory (truncated/garbled ``run.json``, unknown
     format or version) is *skipped with a warning* rather than aborting
@@ -322,7 +328,8 @@ def load_runs(root: Union[str, Path],
         return [load_run(root)]
     runs: List[RunResult] = []
     corrupt = 0
-    for manifest in sorted(root.glob(f"*/{RUN_FILE}")):
+    for manifest in sorted([*root.glob(f"*/{RUN_FILE}"),
+                            *root.glob(f"{RUNS_SUBDIR}/*/{RUN_FILE}")]):
         try:
             runs.append(load_run(manifest.parent))
         except (ValueError, KeyError) as exc:

@@ -1,4 +1,6 @@
-"""Resumable hyperparameter sweeps: ``repro sweep`` and its driver.
+"""Resumable sweeps: ``repro sweep`` and the one grid driver,
+:func:`run_sweep_dir`, which also runs ``run_table`` (a ``recipe`` axis)
+and ``run_sweep`` (one knob); :func:`run_point` runs every point.
 
 A *sweep spec* file (JSON/TOML) declares a base configuration — the same
 ``config`` / ``base``+``family``+``n``+``seed`` + dotted ``set`` schema
@@ -13,6 +15,10 @@ one of:
   ``"recipe"``) or ``{"low": a, "high": b}`` with optional
   ``"log": true`` (log-uniform) / ``"int": true`` (integer-uniform,
   inclusive).
+
+Axes are field-level, like ``set`` (a ``seed`` axis leaves
+``twopi.seed`` alone, a ``system.n`` axis keeps the base block sizes);
+``family`` is refused as an axis: set the top-level ``family`` key.
 
 Example::
 
@@ -59,10 +65,11 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..data import Dataset
 from ..donn import TrainingDiverged
 from ..utils.interrupt import InterruptRequested, interrupt_requested
 from .config import ExperimentConfig
@@ -72,10 +79,10 @@ from .experiment_io import (
     apply_overrides,
     resolve_base_config,
 )
-from .recipes import run_recipe
+from .recipes import prepare_data, run_recipe
 from .registry import get_recipe
-from .runner import SupervisedPool, _init_worker
-from .runs import RUN_FILE, load_run, save_run
+from .runner import SupervisedPool
+from .runs import RUN_FILE, RUNS_SUBDIR, load_run, save_run
 
 __all__ = [
     "SWEEP_FILE",
@@ -96,8 +103,6 @@ SWEEP_FILE = "sweep.json"
 SWEEP_FORMAT = "repro-sweep"
 SWEEP_FORMAT_VERSION = 1
 
-#: Sub-directory of a sweep directory holding the per-point run dirs.
-RUNS_SUBDIR = "runs"
 #: One-shot fault marker consumed by a worker (chaos testing).
 FAULT_FILE = ".fault"
 
@@ -198,6 +203,13 @@ def validate_sweep_spec(data: Mapping[str, Any],
                     f"{source}: random.space[{key!r}] needs either "
                     "'choices' or 'low'+'high'"
                 )
+    axes = data["grid"] if "grid" in data else data["random"]["space"]
+    if "family" in axes:
+        raise ValueError(
+            f"{source}: 'family' cannot be a sweep axis (the base "
+            "config's family-derived block sizes would stay); set the "
+            "spec's top-level 'family' key instead, one sweep per family"
+        )
     # Dry-run the base config + every point's overrides so a bad spec
     # fails before any compute is spent (unknown keys, bad recipe, ...).
     base = resolve_base_config(data, source=source)
@@ -353,8 +365,12 @@ def _consume_fault(point_dir: Path) -> Optional[Dict[str, Any]]:
 
 
 def run_point(point: SweepPoint, runs_root: Union[str, Path],
-              checkpoint_every: int = 1, verbose: bool = False) -> Path:
+              checkpoint_every: int = 1, verbose: bool = False,
+              data: Optional[Tuple[Dataset, Dataset]] = None) -> Path:
     """Run one sweep point into ``<runs_root>/<point.name>/``.
+
+    ``data`` is the point's ``(train, test)`` split, used as given;
+    ``None`` prepares it from the point's config.
 
     The directory accumulates ``events.jsonl`` and training checkpoints
     while in flight; on success the model and the atomically-written
@@ -384,7 +400,7 @@ def run_point(point: SweepPoint, runs_root: Union[str, Path],
     checkpoint_dir = point_dir / "checkpoints"
     with events:
         result = run_recipe(
-            point.recipe, point.config, data=None, verbose=verbose,
+            point.recipe, point.config, data=data, verbose=verbose,
             events=events, checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
         )
@@ -396,11 +412,44 @@ def run_point(point: SweepPoint, runs_root: Union[str, Path],
     return run_dir
 
 
+#: Per-worker data split: the ``(train, test)`` pair is shipped once per
+#: worker process via the pool initializer instead of once per point
+#: (paper-scale datasets are hundreds of MB).  ``None``: each point
+#: prepares its own.
+_WORKER_DATA: Optional[Tuple[Dataset, Dataset]] = None
+
+
+def _init_worker(data: Optional[Tuple[Dataset, Dataset]],
+                 backend_name: str, precision_name: str) -> None:
+    """Pool initializer: stash the sweep's data split and mirror the
+    parent's process-wide toggles — the FFT backend and the ambient
+    precision policy (spawn-based platforms re-import the package, so
+    programmatic ``set_backend`` / ``set_precision`` calls would
+    otherwise be lost — and with them the byte-identical-to-serial
+    guarantee).  Each worker runs one FFT thread: the workers, not the
+    transforms, share the CPUs."""
+    global _WORKER_DATA
+    _WORKER_DATA = data
+    import signal
+
+    from ..backend import set_backend, set_precision, set_workers
+
+    # Ctrl-C belongs to the orchestrator: it decides whether to drain
+    # gracefully or hard-exit.  Workers ignoring SIGINT keeps a terminal
+    # Ctrl-C (delivered to the whole foreground process group) from
+    # looking like a worker crash.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    set_backend(backend_name)
+    set_precision(precision_name)
+    set_workers(1)
+
+
 def _point_task(payload: tuple) -> str:
     """Module-level worker entry (picklable for the supervised pool)."""
-    point, runs_root, checkpoint_every = payload
+    point, runs_root, checkpoint_every, verbose = payload
     return str(run_point(point, runs_root,
-                         checkpoint_every=checkpoint_every))
+                         checkpoint_every=checkpoint_every,
+                         verbose=verbose, data=_WORKER_DATA))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +489,7 @@ def run_sweep_dir(
     sweep_dir: Union[str, Path],
     spec: Optional[Mapping[str, Any]] = None,
     *,
+    data: Optional[Tuple[Dataset, Dataset]] = None,
     resume: bool = False,
     max_workers: int = 1,
     max_retries: int = 2,
@@ -459,6 +509,11 @@ def run_sweep_dir(
     protocol (:mod:`repro.utils.interrupt`): a pending interrupt stops
     the sweep at the next point boundary, marks the manifest, and the
     summary comes back ``interrupted=True``.
+
+    ``data`` is a ``(train, test)`` split every point runs on, as
+    given.  Without it, pending points that share one data fingerprint
+    (family, seed, sample counts) share one split prepared here;
+    otherwise each point prepares its own.
 
     ``faults`` (chaos testing) arms one-shot ``.fault`` markers by point
     index — see :func:`parse_faults`.
@@ -529,6 +584,10 @@ def run_sweep_dir(
         (point_dir / FAULT_FILE).write_text(json.dumps(fault) + "\n")
 
     _write_manifest(sweep_dir, manifest_now())
+    fingerprints = {(p.config.family, p.config.seed, p.config.n_train,
+                     p.config.n_test) for p in todo}
+    if data is None and len(fingerprints) == 1:
+        data = prepare_data(todo[0].config)
 
     def record_failure(point: SweepPoint, error_type: str, message: str,
                        n_attempts: int, permanent: bool) -> None:
@@ -556,7 +615,7 @@ def run_sweep_dir(
             try:
                 run_point(point, runs_root,
                           checkpoint_every=checkpoint_every,
-                          verbose=verbose)
+                          verbose=verbose, data=data)
             except InterruptRequested:
                 statuses[point.name] = "pending"
                 interrupted = True
@@ -594,11 +653,12 @@ def run_sweep_dir(
             max_retries=max_retries,
             timeout_s=timeout_s,
             initializer=_init_worker,
-            initargs=(None, backend_name(), get_precision().name),
+            initargs=(data, backend_name(), get_precision().name),
             on_event=on_event,
         )
         outcomes = pool.run(
-            [(point, str(runs_root), checkpoint_every) for point in todo],
+            [(point, str(runs_root), checkpoint_every, verbose)
+             for point in todo],
             stop_requested=interrupt_requested,
         )
         for point, outcome in zip(todo, outcomes):

@@ -17,7 +17,8 @@ import pytest
 from repro.autodiff.rng import spawn_rng
 from repro.backend import backend_name, dispatch, get_precision, hop
 from repro.donn import DONN, DONNConfig
-from repro.pipeline.runner import SupervisedPool, _init_worker
+from repro.pipeline.runner import SupervisedPool
+from repro.pipeline.sweep import _init_worker
 from repro.serve import ShardedPool
 from repro.utils.serialization import save_model
 
@@ -114,12 +115,13 @@ class TestChildren:
         assert done.stdout.split() == ["1"]
 
     def test_table_worker(self, env_workers):
-        # The initializer run_table / run_sweep give their pools.
+        # The initializer of every sweep pool (repro sweep, run_table,
+        # run_sweep); None: each point prepares its own data split.
         env_workers(2)
         pool = SupervisedPool(
             dispatch._resolve_workers, max_workers=2,
             initializer=_init_worker,
-            initargs=((None, None), backend_name(), get_precision().name),
+            initargs=(None, backend_name(), get_precision().name),
         )
         outcomes = pool.run([None, None])
         assert [outcome.result for outcome in outcomes] == [1, 1]

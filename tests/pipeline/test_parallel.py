@@ -1,59 +1,54 @@
-"""Parallel table/sweep runner: worker-pool results must be byte-identical
-to the serial path (deterministic per-recipe seeding)."""
+"""Parallel table/sweep runner: rows and stored models from the worker
+pool must be byte-identical to the serial path (deterministic
+per-recipe seeding).
 
-import numpy as np
+The rows are stored runs read back from disk, so they carry no live
+model and no 2-pi solutions.  The model is compared as the bytes of
+each point's ``model.npz`` (the CI sweep chaos step's ``cmp``).  The
+2-pi offsets are not persisted in a run directory, so their old
+array comparison is gone; they reach the rows through
+``roughness_after``, which they determine.
+"""
 
-from repro.pipeline import ExperimentConfig, prepare_data, run_sweep, run_table
+import filecmp
 
-
-def tiny_cfg(**overrides) -> ExperimentConfig:
-    defaults = dict(
-        n=20, n_train=40, n_test=20, batch_size=20, baseline_epochs=1,
-    )
-    defaults.update(overrides)
-    cfg = ExperimentConfig.laptop("digits", **defaults)
-    from dataclasses import replace
-
-    return cfg.with_overrides(
-        slr=replace(cfg.slr, outer_iterations=1, inner_epochs=1,
-                    finetune_epochs=1),
-        twopi=replace(cfg.twopi, iterations=10),
-    )
+from repro.pipeline import prepare_data, run_sweep, run_table
+from repro.pipeline.runs import MODEL_FILE
 
 
-def assert_results_identical(serial, parallel):
-    assert len(serial) == len(parallel)
-    for s, p in zip(serial, parallel):
-        assert s.recipe == p.recipe
-        assert s.accuracy == p.accuracy
-        assert s.roughness_before == p.roughness_before
-        assert s.roughness_after == p.roughness_after
-        assert s.sparsity == p.sparsity
-        for s_phase, p_phase in zip(s.model.phases(), p.model.phases()):
-            assert np.array_equal(s_phase, p_phase)
-        for s_sol, p_sol in zip(s.twopi_solutions, p.twopi_solutions):
-            assert np.array_equal(s_sol.offsets, p_sol.offsets)
+def rows(results):
+    return [(r.recipe, r.accuracy, r.roughness_before, r.roughness_after,
+             r.sparsity) for r in results]
+
+
+def small_cfg(tiny_cfg):
+    return tiny_cfg(n_train=40, n_test=20, batch_size=20)
 
 
 class TestRunTableParallel:
-    def test_matches_serial_byte_identical(self):
-        config = tiny_cfg()
+    def test_matches_serial_byte_identical(self, tiny_cfg, tmp_path):
+        config = small_cfg(tiny_cfg)
         data = prepare_data(config)
         recipes = ("baseline", "ours_a")
-        serial = run_table(config, recipes=recipes, data=data)
+        serial = run_table(config, recipes=recipes, data=data,
+                           runs_dir=str(tmp_path / "serial"))
         parallel = run_table(config, recipes=recipes, data=data,
-                             max_workers=4)
-        assert_results_identical(serial.results, parallel.results)
+                             max_workers=2,
+                             runs_dir=str(tmp_path / "parallel"))
+        assert rows(serial.results) == rows(parallel.results)
+        for s, p in zip(serial.results, parallel.results):
+            assert s.path.name == p.path.name
+            assert filecmp.cmp(s.path / MODEL_FILE, p.path / MODEL_FILE,
+                               shallow=False)
 
-    def test_max_workers_one_is_serial(self):
-        config = tiny_cfg()
-        data = prepare_data(config)
-        table = run_table(config, recipes=("baseline",), data=data,
-                          max_workers=1)
+    def test_max_workers_one_is_serial(self, tiny_cfg):
+        config = small_cfg(tiny_cfg)
+        table = run_table(config, recipes=("baseline",),
+                          data=prepare_data(config), max_workers=1)
         assert [r.recipe for r in table.results] == ["baseline"]
 
-    def test_order_preserved(self):
-        config = tiny_cfg()
+    def test_order_preserved(self, tiny_cfg):
+        config = small_cfg(tiny_cfg)
         data = prepare_data(config)
         recipes = ("ours_a", "baseline")
         table = run_table(config, recipes=recipes, data=data, max_workers=2)
@@ -61,12 +56,13 @@ class TestRunTableParallel:
 
 
 class TestRunSweepParallel:
-    def test_matches_serial_byte_identical(self):
-        config = tiny_cfg()
+    def test_matches_serial_byte_identical(self, tiny_cfg):
+        config = small_cfg(tiny_cfg)
         data = prepare_data(config)
         values = (1e-5, 1e-4)
         serial = run_sweep(config, "roughness_p", values, recipe="ours_a",
                            data=data)
         parallel = run_sweep(config, "roughness_p", values, recipe="ours_a",
                              data=data, max_workers=2)
-        assert_results_identical(serial, parallel)
+        assert rows(serial) == rows(parallel)
+        assert [r.config.roughness_p for r in serial] == list(values)

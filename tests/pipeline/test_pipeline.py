@@ -152,6 +152,43 @@ class TestRunTable:
         assert "466.39" in text  # published MNIST baseline value
         assert "headline" in text
 
+    def test_failed_recipe_raises_naming_it(self):
+        from repro.pipeline import register_recipe, unregister_recipe
+        from repro.pipeline.stages import Stage
+
+        class Boom(Stage):
+            name = "boom"
+
+            def run(self, ctx):
+                raise ArithmeticError("boom stage")
+
+        register_recipe("test_boom", [Boom()])
+        try:
+            with pytest.raises(RuntimeError, match=(
+                    r"1 of 1 point\(s\) failed: p000-test_boom: "
+                    r"ArithmeticError after 1 attempt\(s\): boom stage")):
+                run_table(tiny_cfg(), recipes=("test_boom",))
+        finally:
+            unregister_recipe("test_boom")
+
+    def test_callers_split_reaches_the_points(self):
+        # Train and test drawn from different seeds, as the benchmark's
+        # table workload does: a split rebuilt from the config differs.
+        from repro.data import make_dataset
+
+        cfg = tiny_cfg(baseline_epochs=1)
+        train, _ = make_dataset(cfg.family, n_train=cfg.n_train, n_test=1,
+                                seed=0)
+        _, test = make_dataset(cfg.family, n_train=1, n_test=cfg.n_test,
+                               seed=1)
+        direct = run_recipe("baseline", cfg, data=(train, test))
+        for workers in (1, 2):
+            row, = run_sweep(cfg, "roughness_p", [cfg.roughness_p],
+                             recipe="baseline", data=(train, test),
+                             max_workers=workers)
+            assert (row.accuracy, row.roughness_after) == (
+                direct.accuracy, direct.roughness_after)
+
 
 class TestRunSweep:
     def test_roughness_sweep(self):

@@ -182,6 +182,9 @@ class TestLoadRunsAndTables:
         assert "[5], [6], [8]" in rendered
         assert "headline" not in rendered
         assert "466.39" in format_comparison(stored)
+        # A table directory holds one table; a rerun fails before compute.
+        with pytest.raises(FileExistsError, match="already holds a sweep"):
+            run_table(cfg, recipes=("baseline",), runs_dir=tmp_path)
 
     def test_load_runs_accepts_single_run_dir(self, baseline_run, tmp_path):
         cfg, result = baseline_run

@@ -111,6 +111,16 @@ class TestSpecValidation:
             "p000-ours_c", "p001-ours_c", "p002-ours_c", "p003-ours_c",
         ]
 
+    def test_family_axis_rejected(self):
+        # A family override keeps the base family's block sizes.
+        base = {key: value for key, value in TINY_SPEC.items()
+                if key != "grid"}
+        for axes in ({"grid": {"family": ["fashion"]}},
+                     {"random": {"samples": 1, "space": {
+                         "family": {"choices": ["fashion"]}}}}):
+            with pytest.raises(ValueError, match="top-level 'family'"):
+                validate_sweep_spec({**base, **axes})
+
     def test_random_space_validated(self):
         with pytest.raises(ValueError, match="choices.*or.*low"):
             validate_sweep_spec({
@@ -168,6 +178,37 @@ class TestExpansion:
             assert 0.01 <= point.overrides["roughness_p"] <= 1.0
             assert point.overrides["slr.block_size"] in (2, 4)
             assert point.overrides["baseline_epochs"] in (1, 2, 3)
+
+
+class TestSharedData:
+    SPEC = {**TINY_SPEC, "set": {**TINY_SPEC["set"], "baseline_epochs": 1}}
+
+    def count_prepare_data(self, monkeypatch):
+        from repro.pipeline import recipes, sweep
+
+        calls = []
+        real = recipes.prepare_data
+
+        def counting(config):
+            calls.append(config.seed)
+            return real(config)
+
+        monkeypatch.setattr(recipes, "prepare_data", counting)
+        monkeypatch.setattr(sweep, "prepare_data", counting)
+        return calls
+
+    def test_points_sharing_a_fingerprint_share_one_split(
+            self, tmp_path, monkeypatch):
+        calls = self.count_prepare_data(monkeypatch)
+        assert run_sweep_dir(tmp_path / "sw", spec=self.SPEC).ok
+        assert calls == [0]
+
+    def test_points_on_different_seeds_prepare_their_own(
+            self, tmp_path, monkeypatch):
+        calls = self.count_prepare_data(monkeypatch)
+        spec = {**self.SPEC, "grid": {"seed": [0, 1]}}
+        assert run_sweep_dir(tmp_path / "sw", spec=spec).ok
+        assert calls == [0, 1]
 
 
 class TestParseFaults:

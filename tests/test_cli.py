@@ -444,6 +444,41 @@ class TestReportCommand:
         assert out.index("[5], [6], [8]") < out.index("Ours-A")
         assert "rendered 2 stored run(s)" in out
 
+    @pytest.fixture(scope="class")
+    def table_dirs(self, tmp_path_factory):
+        """Two ``repro table --runs-dir`` directories of the same table,
+        with the first one's stdout."""
+        import contextlib
+        import io
+
+        root = tmp_path_factory.mktemp("tables")
+        outputs = []
+        for name in ("a", "b"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["table", *TINY, "--runs-dir",
+                             str(root / name)]) == 0
+            outputs.append(out.getvalue())
+        return root / "a", root / "b", outputs[0]
+
+    def test_report_renders_a_table_dir(self, capsys, table_dirs):
+        table_dir, _, live = table_dirs
+        assert main(["report", "--strict", str(table_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"{live}\nrendered 5 stored run(s) from {table_dir}\n")
+        # A table directory holds one table.
+        assert main(["table", *TINY, "--runs-dir", str(table_dir)]) == 2
+        assert "already holds a sweep" in capsys.readouterr().err
+
+    def test_report_compares_two_table_dirs(self, capsys, table_dirs):
+        a, b, _ = table_dirs
+        assert main(["report", "--compare", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        for point in ("p000-baseline", "p004-ours_d"):
+            assert f"{point} (" in out
+        assert "only in" not in out
+        assert "no accuracy regressions" in out
+
     def test_report_missing_dir_fails_cleanly(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2
         assert capsys.readouterr().err
