@@ -38,6 +38,7 @@ from .recipes import (
     prepare_data,
     run_recipe,
 )
+from .pool import PointFailure, PointOutcome, SupervisedPool
 from .registry import (
     Recipe,
     get_recipe,
@@ -47,15 +48,7 @@ from .registry import (
     register_recipe,
     unregister_recipe,
 )
-from .runner import (
-    PAPER_TABLES,
-    PointFailure,
-    PointOutcome,
-    SupervisedPool,
-    TableResult,
-    run_sweep,
-    run_table,
-)
+from .runner import run_sweep, run_table
 from .runs import (
     RunResult,
     load_run,
@@ -83,7 +76,13 @@ from .stages import (
     TrainStage,
     TwoPiStage,
 )
-from .tables import format_comparison, format_scenarios, format_table
+from .tables import (
+    PAPER_TABLES,
+    TableResult,
+    format_comparison,
+    format_scenarios,
+    format_table,
+)
 
 # Registers the physics-robustness scenario recipes (differential,
 # partial_coherence, quantized, deploy_gap) as a side effect, so sweep

@@ -19,7 +19,7 @@ metrics).  ``model.npz`` is the same self-contained artifact
 :class:`~repro.pipeline.recipes.RecipeResult` for the table formatters
 (``label`` / ``accuracy`` / ``roughness_before`` / ``roughness_after``),
 lazily loads the model, and :func:`table_from_runs` re-assembles a
-:class:`~repro.pipeline.runner.TableResult` from stored runs.
+:class:`~repro.pipeline.tables.TableResult` from stored runs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..utils.serialization import save_model
 from .config import ExperimentConfig
 from .recipes import RECIPES, RecipeResult, recipe_label
-from .runner import TableResult
+from .tables import TableResult
 
 __all__ = [
     "RUN_FORMAT",
@@ -362,7 +362,7 @@ def _recipe_sort_key(recipe: str):
 
 
 def table_from_runs(runs: Sequence[RunResult]) -> TableResult:
-    """Re-assemble a :class:`~repro.pipeline.runner.TableResult` from
+    """Re-assemble a :class:`~repro.pipeline.tables.TableResult` from
     stored runs (no recomputation).
 
     All runs must share one dataset family; rows are ordered like the

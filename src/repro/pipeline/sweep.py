@@ -41,7 +41,7 @@ Fault tolerance is layered (ROADMAP item 4):
   leaves either a resumable half-run (checkpoints + events) or a
   complete one, never a torn one;
 * the pool level: worker crashes are supervised, attributed and retried
-  with backoff (:class:`~repro.pipeline.runner.SupervisedPool`);
+  with backoff (:class:`~repro.pipeline.pool.SupervisedPool`);
   deterministic errors (:class:`~repro.donn.training.TrainingDiverged`)
   are recorded as permanent failures and never retried;
 * the orchestrator level: ``repro sweep --resume <dir>`` re-expands the
@@ -81,7 +81,7 @@ from .experiment_io import (
 )
 from .recipes import prepare_data, run_recipe
 from .registry import get_recipe
-from .runner import SupervisedPool
+from .pool import SupervisedPool
 from .runs import RUN_FILE, RUNS_SUBDIR, load_run, save_run
 
 __all__ = [

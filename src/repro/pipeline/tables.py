@@ -1,13 +1,73 @@
-"""Formatting: print reproduced tables in the paper's layout."""
+"""Reproduced tables: the published numbers (:data:`PAPER_TABLES`), the
+rows of one reproduced table (:class:`TableResult`), and printing them
+in the paper's layout."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .runner import TableResult
+from .config import ExperimentConfig
 
-__all__ = ["format_table", "format_comparison", "format_scenarios"]
+if TYPE_CHECKING:
+    from .runs import RunResult
+
+__all__ = ["PAPER_TABLES", "TableResult", "format_table",
+           "format_comparison", "format_scenarios"]
+
+#: Published Tables II-V: recipe -> (accuracy %, R before 2pi, R after 2pi).
+#: ``None`` marks the Ours-A "after" cell the paper leaves blank.
+PAPER_TABLES: Dict[str, Dict[str, Tuple[float, float, Optional[float]]]] = {
+    "MNIST": {
+        "baseline": (96.67, 466.39, 460.85),
+        "ours_a": (96.18, 416.07, None),
+        "ours_b": (96.38, 538.78, 400.38),
+        "ours_c": (96.47, 409.41, 299.87),
+        "ours_d": (95.90, 375.35, 280.32),
+    },
+    "FMNIST": {
+        "baseline": (87.98, 464.78, 461.98),
+        "ours_a": (86.99, 421.49, None),
+        "ours_b": (87.88, 488.11, 438.53),
+        "ours_c": (86.79, 350.67, 305.86),
+        "ours_d": (85.76, 450.73, 229.70),
+    },
+    "KMNIST": {
+        "baseline": (86.92, 460.61, 445.57),
+        "ours_a": (85.26, 462.70, None),
+        "ours_b": (86.83, 473.08, 432.26),
+        "ours_c": (85.01, 396.84, 331.22),
+        "ours_d": (83.19, 327.48, 288.42),
+    },
+    "EMNIST": {
+        "baseline": (92.30, 463.42, 458.48),
+        "ours_a": (91.61, 435.58, None),
+        "ours_b": (92.36, 465.85, 443.91),
+        "ours_c": (91.16, 349.61, 336.75),
+        "ours_d": (90.74, 312.17, 298.09),
+    },
+}
+
+
+@dataclass
+class TableResult:
+    """All rows of one reproduced table, in row order."""
+
+    config: ExperimentConfig
+    results: List[RunResult]
+
+    @property
+    def paper_dataset(self) -> str:
+        return self.config.paper_dataset
+
+    def by_recipe(self) -> Dict[str, RunResult]:
+        return {result.recipe: result for result in self.results}
+
+    def paper_rows(self) -> Dict[str, Tuple[float, float, Optional[float]]]:
+        """The published values this table is compared against."""
+        return PAPER_TABLES[self.paper_dataset]
+
 
 _TABLE_NUMBER = {"MNIST": "II", "FMNIST": "III", "KMNIST": "IV",
                  "EMNIST": "V"}

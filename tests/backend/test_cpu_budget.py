@@ -17,7 +17,7 @@ import pytest
 from repro.autodiff.rng import spawn_rng
 from repro.backend import backend_name, dispatch, get_precision, hop
 from repro.donn import DONN, DONNConfig
-from repro.pipeline.runner import SupervisedPool
+from repro.pipeline.pool import SupervisedPool
 from repro.pipeline.sweep import _init_worker
 from repro.serve import ShardedPool
 from repro.utils.serialization import save_model

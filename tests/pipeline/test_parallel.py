@@ -10,15 +10,24 @@ array comparison is gone; they reach the rows through
 ``roughness_after``, which they determine.
 """
 
+import contextlib
 import filecmp
 
-from repro.pipeline import prepare_data, run_sweep, run_table
+from repro.pipeline import prepare_data, run_sweep, run_table, runner
 from repro.pipeline.runs import MODEL_FILE
 
 
 def rows(results):
     return [(r.recipe, r.accuracy, r.roughness_before, r.roughness_after,
              r.sparsity) for r in results]
+
+
+def assert_same_models(serial, parallel):
+    assert len(serial) == len(parallel)
+    for s, p in zip(serial, parallel):
+        assert s.path.name == p.path.name
+        assert filecmp.cmp(s.path / MODEL_FILE, p.path / MODEL_FILE,
+                           shallow=False)
 
 
 def small_cfg(tiny_cfg):
@@ -36,10 +45,7 @@ class TestRunTableParallel:
                              max_workers=2,
                              runs_dir=str(tmp_path / "parallel"))
         assert rows(serial.results) == rows(parallel.results)
-        for s, p in zip(serial.results, parallel.results):
-            assert s.path.name == p.path.name
-            assert filecmp.cmp(s.path / MODEL_FILE, p.path / MODEL_FILE,
-                               shallow=False)
+        assert_same_models(serial.results, parallel.results)
 
     def test_max_workers_one_is_serial(self, tiny_cfg):
         config = small_cfg(tiny_cfg)
@@ -56,7 +62,14 @@ class TestRunTableParallel:
 
 
 class TestRunSweepParallel:
-    def test_matches_serial_byte_identical(self, tiny_cfg):
+    def test_matches_serial_byte_identical(self, tiny_cfg, tmp_path,
+                                           monkeypatch):
+        # run_sweep takes no runs_dir: hand it named sweep directories
+        # instead of temporary ones, so the models outlive the call.
+        names = iter(["serial", "parallel"])
+        monkeypatch.setattr(
+            runner, "TemporaryDirectory",
+            lambda: contextlib.nullcontext(str(tmp_path / next(names))))
         config = small_cfg(tiny_cfg)
         data = prepare_data(config)
         values = (1e-5, 1e-4)
@@ -66,3 +79,6 @@ class TestRunSweepParallel:
                              data=data, max_workers=2)
         assert rows(serial) == rows(parallel)
         assert [r.config.roughness_p for r in serial] == list(values)
+        assert serial[0].path.parents[1] == tmp_path / "serial"
+        assert parallel[0].path.parents[1] == tmp_path / "parallel"
+        assert_same_models(serial, parallel)

@@ -1,11 +1,11 @@
-"""Tests of the crash-supervised process pool (runner.SupervisedPool)."""
+"""Tests of the crash-supervised process pool (pool.SupervisedPool)."""
 
 import os
 import time
 
 import pytest
 
-from repro.pipeline.runner import PointFailure, PointOutcome, SupervisedPool
+from repro.pipeline.pool import PointFailure, PointOutcome, SupervisedPool
 
 # Module-level task functions so ProcessPoolExecutor can pickle them.
 
