@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-batch", type=int, default=32,
                        help="micro-batching flush size")
         p.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="max milliseconds a lone request waits to be "
-                            "coalesced")
+                       help="max milliseconds a request waits for a busy "
+                            "pool before its batch goes anyway")
         p.add_argument("--shards", type=int, default=1,
                        help="engine workers (each holds one engine)")
         p.add_argument("--backend", choices=("thread", "process"),

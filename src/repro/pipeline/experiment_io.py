@@ -77,7 +77,7 @@ def _field_names(cls) -> set:
 
 def _coerce(value: Any) -> Any:
     """Parse a CLI override string as a JSON literal, else keep it as a
-    plain string (so ``--set family=digits`` needs no quoting)."""
+    plain string (so ``--set precision=single`` needs no quoting)."""
     if not isinstance(value, str):
         return value
     try:
@@ -110,7 +110,9 @@ def apply_overrides(config: ExperimentConfig,
     (``n_train``) or ``<sub>.<field>`` into a nested sub-config
     (``slr.block_size``, ``twopi.iterations``, ``system.num_layers``).
     Unknown keys, unknown fields and deeper nesting are rejected with
-    the valid alternatives named.  Values are used as given — CLI
+    the valid alternatives named, and so is ``family``: the family
+    picks the canonical block sizes, so it is chosen where the base
+    config is built.  Values are used as given — CLI
     strings go through :func:`parse_override_items` first (which JSON-
     decodes them exactly once, so a quoted value like ``'"5"'`` stays a
     string), and file values arrive already typed.
@@ -126,6 +128,13 @@ def apply_overrides(config: ExperimentConfig,
                 raise ValueError(
                     f"unknown config key {name!r}; expected one of "
                     f"{', '.join(sorted(top_names))}"
+                )
+            if name == "family":
+                raise ValueError(
+                    "'family' cannot be overridden (the base config's "
+                    "family-derived block sizes would stay); set the "
+                    "top-level 'family' key of the experiment file or "
+                    "sweep spec, or pass --family"
                 )
             if name in NESTED_CONFIGS:
                 sub_fields = sorted(_field_names(NESTED_CONFIGS[name]))

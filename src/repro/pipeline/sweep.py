@@ -600,6 +600,11 @@ def run_sweep_dir(
         })
         say(f"point {point.name} FAILED ({error_type}): {message}")
 
+    def emit(point: SweepPoint, event: str, **fields: Any) -> None:
+        log = EventLog(runs_root / point.name / EVENTS_FILE)
+        with log:
+            log.emit(event, point=point.name, **fields)
+
     interrupted = False
     if todo and max_workers <= 1:
         # Serial path: graceful interrupts land *inside* run_point (the
@@ -623,9 +628,12 @@ def run_sweep_dir(
                     "resume with: repro sweep --resume")
                 break
             except Exception as exc:
-                record_failure(point, type(exc).__name__, str(exc),
-                               n_attempts=1,
-                               permanent=isinstance(exc, TrainingDiverged))
+                error_type = type(exc).__name__
+                permanent = isinstance(exc, TrainingDiverged)
+                emit(point, "point_failed", error_type=error_type,
+                     message=str(exc), attempts=1, permanent=permanent)
+                record_failure(point, error_type, str(exc), n_attempts=1,
+                               permanent=permanent)
             else:
                 statuses[point.name] = "done"
                 attempts[point.name] = 1
@@ -634,12 +642,8 @@ def run_sweep_dir(
         from ..backend import backend_name, get_precision
 
         def on_event(event: str, **fields: Any) -> None:
-            point = todo[fields["index"]]
-            log = EventLog(runs_root / point.name / EVENTS_FILE)
-            with log:
-                log.emit(event, point=point.name,
-                         **{k: v for k, v in fields.items()
-                            if k != "index"})
+            point = todo[fields.pop("index")]
+            emit(point, event, **fields)
             if event == "point_retry":
                 say(f"point {point.name} {fields['error_type']}; retry "
                     f"#{fields['attempt']} in {fields['delay']}s")

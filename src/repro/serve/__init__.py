@@ -6,10 +6,12 @@ The serving story on top of :mod:`repro.runtime`:
   model artifact (full geometry + detector spec + bit-exact weights,
   written by :func:`repro.utils.save_model`) behind a file path or a
   run directory.
-* :class:`MicroBatcher` — an asyncio request queue that coalesces
-  concurrent single-sample requests into engine-sized batches
-  (``max_batch`` / ``max_delay`` flush policy); coalesced predictions
-  are byte-identical to per-request ones.
+* :class:`MicroBatcher` — a work-conserving request queue: a request
+  that finds a shard free is dispatched at once, and requests that
+  arrive while every shard is busy are coalesced into engine-sized
+  batches (``max_batch``, with ``max_delay`` bounding the wait for a
+  busy pool); coalesced predictions are byte-identical to per-request
+  ones.
 * :class:`ShardedPool` — N workers (threads or processes), each holding
   one engine, least-loaded dispatch, shard-count-invariant results.
 * :class:`Server` — the programmatic API tying the three together, plus

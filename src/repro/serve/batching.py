@@ -4,21 +4,25 @@ A DONN engine amortizes per-call overhead (Python dispatch, scratch
 setup, FFT passes' fixed cost) across the batch axis, so serving one
 request per engine call throws most of the throughput away.
 :class:`MicroBatcher` is the request queue in front of a
-:class:`~repro.serve.workers.ShardedPool`: concurrent single-sample
-requests accumulate until either ``max_batch`` of them are waiting or
-the oldest has waited ``max_delay`` seconds, then the whole group runs
-as one engine batch and each caller gets its own row back.
+:class:`~repro.serve.workers.ShardedPool`, and it is work-conserving:
+a request that finds a shard free is dispatched at once, and requests
+that arrive while every shard is busy accumulate until a shard frees,
+``max_batch`` of them are waiting, or the oldest has waited
+``max_delay`` seconds.  Each group runs as one engine batch and each
+caller gets its own row back.
 
 The queue is deliberately split across two planes so the per-request
 cost stays at "one lock, one future":
 
 * the **hot path** (:meth:`submit_nowait`) runs on the *caller's*
   thread — append under a mutex, flush inline the moment a group
-  reaches ``max_batch``, deliver rows straight from the worker's
-  done-callback.  No event-loop hop per request.
+  reaches ``max_batch`` or a shard is free, deliver rows straight from
+  the worker's done-callback, which also hands the freed shard to the
+  oldest waiting group.  No event-loop hop per request.
 * the **timer plane** is an asyncio loop: the first request of a group
-  arms ``loop.call_later(max_delay)`` (one loop wake-up per batch, not
-  per request), which flushes whatever is still waiting when it fires.
+  that has to wait for a busy pool arms ``loop.call_later(max_delay)``
+  (one loop wake-up per batch, not per request), which flushes whatever
+  is still waiting when it fires, busy pool or not.
 
 Correctness: every per-sample stage of the engine (amplitude encoding,
 the per-sample 2-D FFT passes, the modulation multiply, the detector
@@ -60,18 +64,21 @@ class MicroBatcher:
     ----------
     pool:
         Anything with ``submit(kind, fields) -> concurrent Future`` —
-        in production a :class:`~repro.serve.workers.ShardedPool`.
+        in production a :class:`~repro.serve.workers.ShardedPool`.  Its
+        ``shards`` count (1 if it has none) is how many batches the
+        batcher keeps in flight before requests start to wait.
     loop:
         A *running* asyncio event loop used for the max-latency timers
         (:class:`~repro.serve.server.Server` owns one on a background
         thread).  Requests themselves never block on the loop.
     max_batch:
-        Flush as soon as this many requests of one group are waiting.
+        Flush as soon as this many requests of one group are waiting,
+        busy pool or not.
     max_delay:
-        Seconds the *first* request of a group may wait before the group
-        is flushed regardless of size — the latency cost a lone request
-        pays for the chance of being coalesced.  ``0`` still coalesces
-        requests that arrive while a flush is already in flight.
+        Seconds the *first* request of a group may wait for a busy pool
+        before the group is dispatched anyway.  A request that reaches
+        a free shard never waits for it.  ``0`` still coalesces requests
+        that arrive while every shard is busy.
     metrics:
         The registry the batcher counts into (``None``: a private one);
         :meth:`stats` reads its tallies back from it.
@@ -92,6 +99,10 @@ class MicroBatcher:
         self._pending: Dict[tuple, List[_Pending]] = {}
         self._timers: Dict[tuple, object] = {}
         self._born: Dict[tuple, float] = {}
+        # Batches dispatched but not yet delivered, against one slot per
+        # shard; both read and written under ``_lock``.
+        self._busy = 0
+        self._slots = int(getattr(pool, "shards", 1))
         self._closed = False
         self._max_batch_seen = 0  # no instrument records a maximum
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -136,6 +147,7 @@ class MicroBatcher:
             "full_flushes": int(self._m_flushes.value(reason="full")),
             "timer_flushes": int(self._m_flushes.value(reason="timer")),
             "drain_flushes": int(self._m_flushes.value(reason="drain")),
+            "idle_flushes": int(self._m_flushes.value(reason="idle")),
             "expired": int(self._m_expired.value()),
         }
 
@@ -184,6 +196,9 @@ class MicroBatcher:
             if len(group) >= self.max_batch:
                 self._m_flushes.inc(reason="full")
                 flush_now = self._take(key)
+            elif self._busy < self._slots:
+                self._m_flushes.inc(reason="idle")
+                flush_now = self._take(key)
             elif len(group) == 1:
                 self.loop.call_soon_threadsafe(self._arm_timer, key)
         if deadline is not None:
@@ -196,14 +211,18 @@ class MicroBatcher:
     # Timer plane (event-loop thread)
     # ------------------------------------------------------------------
     def _arm_timer(self, key: tuple) -> None:
-        if key in self._timers:
-            return  # an earlier incarnation's timer is still live; reuse
-        if self.max_delay == 0.0:
-            handle = self.loop.call_soon(self._timer_fired, key)
-        else:
-            handle = self.loop.call_later(self.max_delay, self._timer_fired,
-                                          key)
-        self._timers[key] = handle
+        with self._lock:
+            # The group may have gone out before the loop got here (a
+            # shard freed); an earlier incarnation's live timer is
+            # reused.
+            if key not in self._pending or key in self._timers:
+                return
+            if self.max_delay == 0.0:
+                handle = self.loop.call_soon(self._timer_fired, key)
+            else:
+                handle = self.loop.call_later(self.max_delay,
+                                              self._timer_fired, key)
+            self._timers[key] = handle
 
     def _timer_fired(self, key: tuple) -> None:
         with self._lock:
@@ -256,8 +275,10 @@ class MicroBatcher:
     # Flush & delivery
     # ------------------------------------------------------------------
     def _take(self, key: tuple) -> List[_Pending]:
-        """Pop a group for dispatch (caller holds the lock)."""
+        """Pop a group for dispatch and claim a slot for it (caller
+        holds the lock; :meth:`_release` gives the slot back)."""
         group = self._pending.pop(key)
+        self._busy += 1
         self._max_batch_seen = max(self._max_batch_seen, len(group))
         self._m_batch_size.observe(len(group))
         born = self._born.pop(key, None)
@@ -271,6 +292,19 @@ class MicroBatcher:
             # incorrect result.
             timer.cancel()
         return group
+
+    def _release(self) -> None:
+        """A dispatched batch is done (delivered, or nothing was
+        submitted): free its slot and hand it to the oldest waiting
+        group, if any."""
+        with self._lock:
+            self._busy -= 1
+            if not self._pending or self._busy >= self._slots:
+                return
+            key = min(self._pending, key=self._born.__getitem__)
+            self._m_flushes.inc(reason="idle")
+            group = self._take(key)
+        self._dispatch(key[0], group)
 
     def _dispatch(self, kind: str, group: List[_Pending]) -> None:
         def _resolve(future: Future, value, exc) -> None:
@@ -300,6 +334,7 @@ class MicroBatcher:
             group = [entry for entry in group
                      if entry[2] is None or entry[2] > now]
             if not group:
+                self._release()
                 return
         batch = np.stack([sample for sample, _, _ in group])
         futures = [future for _, future, _ in group]
@@ -316,11 +351,15 @@ class MicroBatcher:
         except BaseException as exc:  # noqa: BLE001 — forwarded
             for future in futures:
                 _resolve(future, None, exc)
+            self._release()
             return
 
         def _deliver(done) -> None:
-            # Runs on the worker thread; concurrent futures are
-            # thread-safe to resolve from here.
+            # Runs on the worker thread (the process executor's callback
+            # thread for process shards); concurrent futures are
+            # thread-safe to resolve from here.  The slot goes back
+            # first, so the next group is on its way while rows land.
+            self._release()
             try:
                 result = np.asarray(done.result())
             except BaseException as exc:  # noqa: BLE001 — forwarded

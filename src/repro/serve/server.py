@@ -64,6 +64,13 @@ class ServeConfig:
     trained at": the artifact header's recorded training precision, or
     ``"double"`` when it carries none.
 
+    Batching (see :class:`~repro.serve.batching.MicroBatcher`): a
+    request that finds one of the ``shards`` free is dispatched at once.
+    Requests that arrive while every shard is busy coalesce into
+    batches of at most ``max_batch``; ``max_delay`` is the longest such
+    a request waits for a busy pool before its group is dispatched
+    anyway.
+
     Fault tolerance (see ``docs/serving.md``):
 
     * ``max_inflight`` bounds admitted-but-unanswered requests; beyond

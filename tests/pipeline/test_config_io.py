@@ -10,6 +10,7 @@ from repro.pipeline import (
     apply_overrides,
     load_experiment,
     parse_override_items,
+    resolve_base_config,
 )
 
 
@@ -114,20 +115,30 @@ class TestOverrides:
         # The CLI path: parse_override_items JSON-decodes exactly once;
         # apply_overrides uses values as given.
         parsed = parse_override_items(["n_train=96", "roughness_p=1e-4",
-                                       "family=fashion"])
+                                       "precision=single"])
         cfg = apply_overrides(self.cfg(), parsed)
         assert cfg.n_train == 96
         assert cfg.roughness_p == pytest.approx(1e-4)
-        assert cfg.family == "fashion"
+        assert cfg.precision == "single"
 
     def test_quoted_string_value_stays_a_string(self):
         # --set key='"5"' must yield the *string* "5", not the int 5 —
         # apply_overrides must not re-decode what parse_override_items
         # already decoded.
-        parsed = parse_override_items(['family="digits"'])
-        assert parsed == {"family": "digits"}
-        assert apply_overrides(self.cfg(), parsed).family == "digits"
+        parsed = parse_override_items(['precision="single"'])
+        assert parsed == {"precision": "single"}
+        assert apply_overrides(self.cfg(), parsed).precision == "single"
         assert parse_override_items(['family="5"']) == {"family": "5"}
+
+    def test_family_override_rejected(self):
+        # The family fixes the canonical block sizes, so overriding it
+        # alone would keep the base family's: the spec below would give
+        # fashion with digits' 5/5 at n=40, not fashion's 4/4.
+        with pytest.raises(ValueError, match="top-level 'family' key"):
+            apply_overrides(self.cfg(), {"family": "fashion"})
+        with pytest.raises(ValueError, match="--family"):
+            resolve_base_config({"base": "laptop", "family": "digits",
+                                 "set": {"family": "fashion"}})
 
     def test_apply_overrides_uses_values_as_given(self):
         cfg = apply_overrides(self.cfg(), {"n_train": 96})

@@ -171,6 +171,41 @@ class TestRunTable:
         finally:
             unregister_recipe("test_boom")
 
+    def test_serial_failure_lands_in_the_points_event_stream(self,
+                                                             tmp_path):
+        # The pool path streams point_failed through on_event; the
+        # serial path leaves the same record for `repro tail`.
+        from repro.pipeline import register_recipe, unregister_recipe
+        from repro.pipeline.events import EVENTS_FILE, read_events
+        from repro.pipeline.stages import Stage
+
+        class Boom(Stage):
+            name = "boom"
+
+            def run(self, ctx):
+                raise ArithmeticError("boom stage")
+
+        register_recipe("test_boom", [Boom()])
+        try:
+            with pytest.raises(RuntimeError, match=r"1 of 2 point\(s\)"):
+                run_table(tiny_cfg(baseline_epochs=1),
+                          recipes=("baseline", "test_boom"), max_workers=1,
+                          runs_dir=str(tmp_path / "table"))
+        finally:
+            unregister_recipe("test_boom")
+        events = read_events(tmp_path / "table" / "runs" / "p001-test_boom"
+                             / EVENTS_FILE)
+        failed = [event for event in events
+                  if event["event"] == "point_failed"]
+        assert [{key: event[key] for key in ("point", "error_type",
+                                              "message", "attempts",
+                                              "permanent")}
+                for event in failed] == [{
+                    "point": "p001-test_boom",
+                    "error_type": "ArithmeticError",
+                    "message": "boom stage", "attempts": 1,
+                    "permanent": False}]
+
     def test_callers_split_reaches_the_points(self):
         # Train and test drawn from different seeds, as the benchmark's
         # table workload does: a split rebuilt from the config differs.

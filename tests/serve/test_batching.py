@@ -1,12 +1,15 @@
 """The micro-batching frontend: coalescing without changing a single bit."""
 
+import asyncio
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.autodiff.rng import spawn_rng
-from repro.serve import ServeConfig, Server
+from repro.serve import DeadlineExceeded, MicroBatcher, ServeConfig, Server
 
 
 @pytest.fixture(scope="module")
@@ -107,26 +110,84 @@ class TestCoalescedEquivalence:
         assert np.array_equal(served, serial)
 
 
+#: Holds the one shard of a ``serve()`` deployment busy: its first batch
+#: sleeps this long before computing.
+HOLD_MS = 300
+
+
 class TestFlushPolicy:
-    def test_lone_request_is_flushed_by_timer(self, model, artifact, images):
-        with serve(artifact, max_batch=64, max_delay=0.01) as server:
+    def test_lone_request_to_idle_pool_is_flushed_at_once(self, model,
+                                                          artifact, images):
+        # A request that finds the shard free never waits for max_delay.
+        with serve(artifact, max_batch=64, max_delay=30.0) as server:
+            begin = time.monotonic()
             label = server.submit("predict", images[0]).result(timeout=10)
+            elapsed = time.monotonic() - begin
             stats = server.stats()["batcher"]
         assert label == model.predict(images[0][None])[0]
+        assert elapsed < 1.0
+        assert stats["idle_flushes"] == 1
+        assert stats["timer_flushes"] == stats["full_flushes"] == 0
+
+    def test_request_behind_busy_shard_is_flushed_by_timer(self, model,
+                                                           artifact, images):
+        # max_delay bounds the wait for a busy pool: the queued request
+        # goes out when the timer fires, not when the shard frees.
+        with serve(artifact, max_batch=64, max_delay=0.01,
+                   faults=f"delay:shard=0,ms={HOLD_MS}") as server:
+            futures = [server.submit("predict", image)
+                       for image in images[:2]]
+            served = [f.result(timeout=10) for f in futures]
+            stats = server.stats()["batcher"]
+        assert np.array_equal(served, model.predict(images[:2]))
+        assert stats["idle_flushes"] == 1
         assert stats["timer_flushes"] == 1
-        assert stats["full_flushes"] == 0
 
     def test_full_batch_flushes_without_waiting(self, model, artifact,
                                                 images):
-        # A huge max_delay would stall a timer flush; a full group must
-        # not wait for it.
-        with serve(artifact, max_batch=4, max_delay=30.0) as server:
+        # The shard is busy and a huge max_delay would stall a timer
+        # flush; a full group waits for neither.
+        with serve(artifact, max_batch=4, max_delay=30.0,
+                   faults=f"delay:shard=0,ms={HOLD_MS}") as server:
+            holder = server.submit("predict", images[4])
             futures = [server.submit("predict", image)
                        for image in images[:4]]
             served = [f.result(timeout=10) for f in futures]
+            holder.result(timeout=10)
             stats = server.stats()["batcher"]
         assert stats["full_flushes"] == 1
+        assert stats["idle_flushes"] == 1
         assert np.array_equal(served, model.predict(images[:4]))
+
+    def test_requests_behind_busy_shard_go_out_as_one_batch(self, model,
+                                                            artifact,
+                                                            images):
+        with serve(artifact, max_batch=64, max_delay=30.0,
+                   faults=f"delay:shard=0,ms={HOLD_MS}") as server:
+            futures = [server.submit("predict", image)
+                       for image in images[:6]]
+            served = np.stack([f.result(timeout=10) for f in futures])
+            stats = server.stats()["batcher"]
+        assert np.array_equal(served, model.predict(images[:6]))
+        assert stats["batches"] == stats["idle_flushes"] == 2
+        assert stats["max_batch"] == 5
+
+    def test_busy_path_on_process_shards(self, model, artifact, images):
+        # Both shards held busy: the waiting group is submitted from the
+        # process executor's callback thread when one of them frees.
+        hold = f"ms={HOLD_MS},after=1"  # batch 0 is the warm-up
+        with serve(artifact, max_batch=64, max_delay=30.0, shards=2,
+                   backend="process",
+                   faults=f"delay:shard=0,{hold}; delay:shard=1,{hold}"
+                   ) as server:
+            server.warmup()
+            futures = [server.submit("predict", image)
+                       for image in images[:7]]
+            served = np.stack([f.result(timeout=30) for f in futures])
+            stats = server.stats()["batcher"]
+        assert np.array_equal(served, model.predict(images[:7]))
+        assert stats["batches"] == stats["idle_flushes"] == 3
+        assert stats["timer_flushes"] == 0
 
     def test_zero_delay_still_answers(self, model, artifact, images):
         with serve(artifact, max_batch=8, max_delay=0.0) as server:
@@ -144,6 +205,71 @@ class TestFlushPolicy:
         stats = server.stats()
         assert stats["started"] is False
         assert stats["batcher"] is None and stats["pool"] is None
+
+
+class HeldPool:
+    """One shard whose batches finish only when the test says so."""
+
+    shards = 1
+
+    def __init__(self, refuse_first=False):
+        self.batches = []
+        self.refuse_first = refuse_first
+
+    def submit(self, kind, fields, deadline=None):
+        if self.refuse_first:
+            self.refuse_first = False
+            raise RuntimeError("pool refused the batch")
+        future = Future()
+        self.batches.append((fields, future))
+        return future
+
+    def finish(self, index):
+        fields, future = self.batches[index]
+        future.set_result(np.zeros(len(fields)))
+
+
+@pytest.fixture
+def idle_loop():
+    # Never run: neither the max_delay timer nor the expiry sweep fires,
+    # so a waiting group leaves only when a slot is released.
+    loop = asyncio.new_event_loop()
+    yield loop
+    loop.close()
+
+
+class TestSlotAccounting:
+    sample = np.zeros((4, 4))
+
+    def test_slot_freed_after_group_whose_rows_all_expired(self, idle_loop):
+        pool = HeldPool()
+        batcher = MicroBatcher(pool, idle_loop, max_delay=30.0)
+        batcher.submit_nowait("predict", self.sample)
+        doomed = batcher.submit_nowait("predict", self.sample,
+                                       deadline=time.monotonic() + 0.01)
+        time.sleep(0.02)
+        pool.finish(0)  # its slot goes to the doomed group, which expires
+        with pytest.raises(DeadlineExceeded):
+            doomed.result(timeout=0)
+        lone = batcher.submit_nowait("predict", self.sample)
+        assert len(pool.batches) == 2
+        pool.finish(1)
+        assert lone.result(timeout=0) == 0
+        stats = batcher.stats()
+        assert stats["idle_flushes"] == 3
+        assert stats["expired"] == 1
+
+    def test_slot_freed_after_refused_submit(self, idle_loop):
+        pool = HeldPool(refuse_first=True)
+        batcher = MicroBatcher(pool, idle_loop, max_delay=30.0)
+        refused = batcher.submit_nowait("predict", self.sample)
+        with pytest.raises(RuntimeError, match="refused"):
+            refused.result(timeout=0)
+        lone = batcher.submit_nowait("predict", self.sample)
+        assert len(pool.batches) == 1
+        pool.finish(0)
+        assert lone.result(timeout=0) == 0
+        assert batcher.stats()["idle_flushes"] == 2
 
 
 class TestValidation:
@@ -172,29 +298,36 @@ class TestValidation:
                                                          artifact, images):
         # A caller abandoning its future (asyncio timeout via
         # wrap_future cancels it) must not strand the other requests
-        # coalesced into the same batch.
-        with serve(artifact, max_batch=3, max_delay=30.0) as server:
+        # coalesced into the same batch.  The held shard makes the
+        # three requests wait and coalesce.
+        with serve(artifact, max_batch=3, max_delay=30.0,
+                   faults=f"delay:shard=0,ms={HOLD_MS}") as server:
+            holder = server.submit("predict", images[3])
             first = server.submit("predict", images[0])
             assert first.cancel()
             others = [server.submit("predict", image)
                       for image in images[1:3]]
             served = [future.result(timeout=10) for future in others]
+            holder.result(timeout=10)
+            assert server.stats()["batcher"]["full_flushes"] == 1
         assert np.array_equal(served, model.predict(images[1:3]))
 
-    def test_engine_errors_propagate_to_every_waiter(self, artifact):
+    def test_engine_errors_propagate_to_every_waiter(self, artifact, images):
         # Wrong-shaped complex fields pass the 2-D gate but explode in
-        # the engine; both waiting futures must see the error.
+        # the engine; both futures of the batch must see the error.
         bad = np.ones((4, 4), dtype=np.complex128)
-        with serve(artifact, max_batch=2, max_delay=30.0) as server:
+        with serve(artifact, max_batch=2, max_delay=30.0,
+                   faults=f"delay:shard=0,ms={HOLD_MS}") as server:
+            holder = server.submit("predict", images[0])
             futures = [server.submit("predict", bad),
                        server.submit("predict", bad)]
             for future in futures:
                 with pytest.raises(ValueError):
                     future.result(timeout=10)
+            holder.result(timeout=10)
+            assert server.stats()["batcher"]["full_flushes"] == 1
 
     def test_bad_config_rejected(self, tmp_path):
-        from repro.serve import MicroBatcher
-
         with pytest.raises(ValueError):
             MicroBatcher(pool=None, loop=None, max_batch=0)
         with pytest.raises(ValueError):

@@ -252,24 +252,35 @@ class TestDeadlines:
                 server.predict(images[0], deadline_ms=0)
 
     def test_queued_request_fails_at_deadline(self, artifact, images):
-        # max_delay is a full second; the 40 ms deadline must fire the
-        # expiry sweep long before the flush timer would.
-        config = ServeConfig(max_batch=64, max_delay=1.0)
+        # The one shard is held busy past the bound and max_delay is a
+        # full second, so the request waits in the batcher; the 40 ms
+        # deadline must fire the expiry sweep long before the shard
+        # frees or the flush timer fires.
+        config = ServeConfig(max_batch=64, max_delay=1.0,
+                             faults="delay:shard=0,ms=1000,after=1")
         with Server(artifact=artifact, config=config) as server:
             server.warmup()
+            holder = server.submit("predict", images[1])
             begin = time.monotonic()
             with pytest.raises(DeadlineExceeded):
                 server.predict(images[0], deadline_ms=40)
             assert time.monotonic() - begin < 0.8
             assert server.stats()["batcher"]["expired"] == 1
+            holder.result(timeout=10)
 
     def test_default_deadline_from_config(self, artifact, images):
         config = ServeConfig(max_batch=64, max_delay=1.0,
-                             default_deadline_ms=40)
+                             default_deadline_ms=40,
+                             faults="delay:shard=0,ms=1000,after=1")
         with Server(artifact=artifact, config=config) as server:
             server.warmup()
+            holder = server.submit("predict", images[1],
+                                   deadline_ms=10_000)
+            begin = time.monotonic()
             with pytest.raises(DeadlineExceeded):
                 server.predict(images[0])
+            assert time.monotonic() - begin < 0.8
+            holder.result(timeout=10)
 
     def test_undeadlined_requests_unaffected(self, model, artifact, images):
         with Server(artifact=artifact) as server:

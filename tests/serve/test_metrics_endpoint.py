@@ -189,7 +189,7 @@ class TestStatsReadTheRegistry:
         assert stats["batches"] == flat["repro_batcher_batch_size_count"]
         assert stats["mean_batch"] == round(
             flat["repro_batcher_batch_size_sum"] / stats["batches"], 3)
-        for reason in ("full", "timer", "drain"):
+        for reason in ("full", "timer", "drain", "idle"):
             assert stats[f"{reason}_flushes"] == flat.get(
                 f'repro_batcher_flushes_total{{reason="{reason}"}}', 0)
 
