@@ -27,7 +27,8 @@ pass and records a *single* graph node with a hand-derived backward:
 
 Both passes are :func:`repro.backend.hop.propagate_rows`, the hop the
 inference engine runs, over the shared cached kernel (per-hop ortho
-scaling folded into ``H`` once) and the runtime scratch buffers.
+scaling folded into ``H`` once); the hop embeds each field in its padded
+plane and crops the result, so the op holds no padded buffer.
 
 The fast path is what :class:`~repro.optics.propagation.Propagator` and
 :class:`~repro.donn.layers.DiffractiveLayer` always run.  The composed
@@ -82,21 +83,8 @@ class fused_disabled:
 
 
 # ----------------------------------------------------------------------
-# Shared prescaled kernels and scratch buffers
+# Shared prescaled kernels
 # ----------------------------------------------------------------------
-_SCRATCH = None
-
-
-def _scratch():
-    """Process-wide scratch pool (lazy import dodges the optics cycle)."""
-    global _SCRATCH
-    if _SCRATCH is None:
-        from ..runtime.buffers import ScratchBuffers
-
-        _SCRATCH = ScratchBuffers()
-    return _SCRATCH
-
-
 def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:
     """``(H/side^2, conj(H)/side^2)`` at the active compute precision.
 
@@ -113,17 +101,6 @@ def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:
 
         kernel = kernel_for_dtype(kernel, cdtype)
     return kernel.prescaled(), kernel.prescaled_conj()
-
-
-def _propagate_padded(fields: np.ndarray, h: np.ndarray, pad: int,
-                      n: int) -> np.ndarray:
-    """Embed ``(batch, n, n)`` fields in the aperture columns of the
-    scratch rows, run the shared hop with ``h`` (``conj`` for the
-    adjoint), and crop."""
-    side = h.shape[-1]
-    work = _scratch().zeros("fused", (fields.shape[0], n, side), h.dtype)
-    work[:, :, pad:pad + n] = fields
-    return _hop.propagate_rows(work, h, pad)[:, :, pad:pad + n]
 
 
 def _check_field(field: Tensor, n: int) -> None:
@@ -153,13 +130,11 @@ def propagate(field, propagator) -> Tensor:
     pad = kernel.pad
     shape = field.shape
     fields = field.data.reshape((-1, n, n))
-    out = np.ascontiguousarray(
-        _propagate_padded(fields, h, pad, n)
-    ).reshape(shape)
+    out = _hop.propagate_rows(fields, h, pad).reshape(shape)
 
     def vjp(g):
         g = np.asarray(g).reshape((-1, n, n))
-        return _propagate_padded(g, h_conj, pad, n).reshape(shape)
+        return _hop.propagate_rows(g, h_conj, pad).reshape(shape)
 
     return _build(out, [(field, vjp)])
 
@@ -225,7 +200,7 @@ def diffmod(
     shape = field.shape
 
     fields = field.data.reshape((-1, n, n))
-    propagated = _propagate_padded(fields, h, pad, n)
+    propagated = _hop.propagate_rows(fields, h, pad)
 
     # Elementwise phase math runs at the compute precision too: under
     # the single policy the float64 master weights are read through a
@@ -248,7 +223,7 @@ def diffmod(
     def vjp_field(g):
         g = np.asarray(g)
         g = g.astype(cdtype, copy=False).reshape((-1, n, n))
-        grad = _propagate_padded(g * np.conj(modulation), h_conj, pad, n)
+        grad = _hop.propagate_rows(g * np.conj(modulation), h_conj, pad)
         return grad.reshape(shape)
 
     def vjp_phase(g):

@@ -29,11 +29,22 @@ from . import dispatch as _fft
 
 __all__ = ["propagate_rows"]
 
-#: Bytes of padded plane one block may fill.  One 400^2 complex128
-#: plane (the paper's 200x200 geometry at pad_factor 2) fits in L2, so
-#: the four 1-D passes over a block stay in cache instead of streaming
-#: the whole padded batch through memory four times.
+#: Bytes of padded plane one block may fill, so the four 1-D passes
+#: over a block revisit cached lines instead of streaming the whole
+#: padded batch through memory four times.  A block holds at least one
+#: sample: one 400^2 complex128 plane (the paper's 200x200 geometry at
+#: pad_factor 2) is 2.56 MB, more than the reference box's 2 MiB L2 per
+#: core, so at that size a block is a lone plane.
 _BLOCK_BYTES = 4 << 20
+
+#: Fewest padded-plane bytes worth a thread of their own.  Measured on
+#: the 2-CPU reference box (one- vs two-thread hops, complex128,
+#: pad_factor 2): two threads lost up to 2x with 200 KiB of planes or
+#: less (n=20 with 2-8 samples, n=40 with 2), broke even at 400-600 KiB
+#: (n=20 with 16 or 25 samples, n=40 with 4) and won from 800 KiB
+#: (n=40 with 8 samples; a 25-sample n=40 hop, 2.5 MB of planes, took
+#: 1.7 instead of 2.7 ms).
+_THREAD_MIN_BYTES = 256 << 10
 
 #: ``(threads, pool)``: the helper threads every hop in the process
 #: shares, built by the first hop that spreads its blocks and rebuilt
@@ -73,58 +84,63 @@ def _thread_budget() -> int:
     return max(1, workers)
 
 
-def propagate_rows(rows: np.ndarray, h: np.ndarray,
+def propagate_rows(fields: np.ndarray, h: np.ndarray,
                    pad: int) -> np.ndarray:
-    """One pruned FFT -> ``h``-multiply -> IFFT pass over interior rows.
+    """One pruned FFT -> ``h``-multiply -> IFFT pass over aperture fields.
 
-    ``rows`` is ``(batch, n, side)``: the ``n`` interior rows of each
-    sample's padded plane, zero outside the aperture columns
-    ``pad:pad + n``.  ``h`` is a *prescaled* ``(side, side)`` transfer
-    function (the ortho scaling of both transforms folded in, see
-    ``PropagationKernel.prescaled``) or its conjugate for the adjoint;
-    it fixes the compute dtype.  Returns a new ``(batch, n, side)``
-    array: the interior rows of the propagated planes.  ``rows`` is
-    only read.
+    ``fields`` is ``(batch, n, n)``: each sample's field on the
+    aperture, which sits at rows and columns ``pad:pad + n`` of a
+    zero-padded ``(side, side)`` plane.  ``h`` is a *prescaled*
+    ``(side, side)`` transfer function (the ortho scaling of both
+    transforms folded in, see ``PropagationKernel.prescaled``) or its
+    conjugate for the adjoint; it fixes the compute dtype.  Returns a
+    new ``(batch, n, n)`` array: the propagated planes cropped to the
+    aperture.  ``fields`` is only read.
 
     The hop owns the padded plane.  It streams the batch through
     ``(block, side, side)`` planes of at most ``_BLOCK_BYTES`` (at least
-    one sample), so a block's four 1-D passes run in place (where the
-    backend honours ``overwrite_x``) out of cache; the border rows are
-    re-zeroed per block.  The forward row-axis pass visits only the
-    interior rows (the zero border rows transform to zero for free),
-    and the inverse row-axis pass produces only the interior rows — at
-    ``pad_factor=2`` a quarter of the FFT work is skipped with results
-    identical to the full transforms.
+    one sample), embedding each block's fields and cropping its output
+    there, so a block's four 1-D passes run in place (where the backend
+    honours ``overwrite_x``) over cached lines.  The forward row-axis
+    pass visits only the ``n`` aperture rows (the zero border rows
+    transform to zero for free), and the inverse row-axis pass produces
+    only those rows — at ``pad_factor=2`` a quarter of the FFT work is
+    skipped with results identical to the full transforms.
 
-    A batch of several blocks is spread over the FFT CPU budget: the
-    calling thread and up to ``budget - 1`` shared helper threads claim
-    blocks from one counter, each through a plane of its own with
-    one-thread transforms, so the hop costs one hand-off instead of a
-    thread barrier inside every transform, and a descheduled thread
-    holds up no one.  The threads split one block's plane budget
-    between them (still at least one sample per block), so a spread
-    hop holds no more plane memory than a serial one.  A lone block
-    (or a budget of one) runs on the calling thread, whose transforms
-    keep the per-call thread count.  Every transform is per line and
-    blocks do not interact, so the output depends on neither the block
-    size nor the thread count.
+    A batch with at least ``2 * _THREAD_MIN_BYTES`` of padded planes is
+    spread over the FFT CPU budget, one thread per ``_THREAD_MIN_BYTES``
+    at most: the calling thread and shared helper threads claim blocks
+    from one counter, each through a plane of its own with one-thread
+    transforms, so the hop costs one hand-off instead of a thread
+    barrier inside every transform, and a descheduled thread holds up
+    no one.  A spread block holds at most ``ceil(batch / threads)``
+    samples and a thread's share of ``_BLOCK_BYTES`` (still at least
+    one sample), so a spread hop holds no more plane memory than a
+    serial one.  A smaller batch (a lone sample, say) or a budget of
+    one runs on the calling thread, whose transforms keep the per-call
+    thread count.  Every transform is per line and blocks do not
+    interact, so the output depends on neither the block size nor the
+    thread count.
     """
-    batch, n, side = rows.shape
-    block = max(1, _BLOCK_BYTES // (side * side * h.itemsize))
-    out = np.empty((batch, n, side), dtype=h.dtype)
-    threads = min(_thread_budget(), len(range(0, batch, block)))
-    if threads > 1:
-        # The threads share one block's worth of plane memory.
-        block = max(1, block // threads)
+    batch, n = fields.shape[:2]
+    plane = h.size * h.itemsize
+    out = np.empty((batch, n, n), dtype=h.dtype)
+    threads = max(1, min(_thread_budget(), batch,
+                         batch * plane // _THREAD_MIN_BYTES))
+    block = max(1, min(-(-batch // threads),
+                       _BLOCK_BYTES // threads // plane))
+    threads = min(threads, -(-batch // block))  # no thread without a block
     starts = iter(range(0, batch, block))  # the counter all threads claim
     if threads == 1:
-        _run_blocks(rows, h, pad, block, starts, out, None)
+        _run_blocks(fields, h, pad, block, starts, out, None)
         return out
     pool = _helper_pool(threads - 1)
-    helpers = [pool.submit(_run_blocks, rows, h, pad, block, starts, out, 1)
-               for _ in range(threads - 1)]
+    helpers = [
+        pool.submit(_run_blocks, fields, h, pad, block, starts, out, 1)
+        for _ in range(threads - 1)
+    ]
     try:
-        _run_blocks(rows, h, pad, block, starts, out, 1)
+        _run_blocks(fields, h, pad, block, starts, out, 1)
     finally:
         # A helper still queued behind other hops finds nothing left to
         # claim: drop it instead of waiting for a thread to free up.
@@ -134,28 +150,33 @@ def propagate_rows(rows: np.ndarray, h: np.ndarray,
     return out
 
 
-def _run_blocks(rows: np.ndarray, h: np.ndarray, pad: int, block: int,
+def _run_blocks(fields: np.ndarray, h: np.ndarray, pad: int, block: int,
                 starts: Iterator[int], out: np.ndarray,
                 workers: Optional[int]) -> None:
     """Propagate each block whose first sample ``starts`` yields into
     ``out``, through one padded plane this call owns."""
-    batch, n, side = rows.shape
-    interior = slice(pad, pad + n)
+    batch, n = fields.shape[:2]
+    side = h.shape[-1]
+    aperture = slice(pad, pad + n)
     plane = None
     for start in starts:
         stop = min(start + block, batch)
         if plane is None:
             plane = np.empty((min(block, batch), side, side), dtype=h.dtype)
         work = plane[:stop - start]
+        rows = work[:, aperture, :]
         work[:, :pad, :] = 0
         work[:, pad + n:, :] = 0
-        work[:, interior, :] = _fft.fft(rows[start:stop], axis=-1,
+        rows[:, :, :pad] = 0
+        rows[:, :, pad + n:] = 0
+        rows[:, :, aperture] = fields[start:stop]
+        work[:, aperture, :] = _fft.fft(rows, axis=-1, overwrite_x=True,
                                         workers=workers)
         spectrum = _fft.fft(work, axis=-2, overwrite_x=True,
                             workers=workers)
         np.multiply(spectrum, h, out=spectrum)
         tall = _fft.ifft(spectrum, axis=-2, norm="forward",
                          overwrite_x=True, workers=workers)
-        out[start:stop] = _fft.ifft(tall[:, interior, :], axis=-1,
+        out[start:stop] = _fft.ifft(tall[:, aperture, :], axis=-1,
                                     norm="forward", overwrite_x=True,
-                                    workers=workers)
+                                    workers=workers)[:, :, aperture]

@@ -40,15 +40,12 @@ def bilinear_resize(images: np.ndarray, size: int) -> np.ndarray:
     y0, y1, fy = source_axis(h)
     x0, x1, fx = source_axis(w)
 
-    top = (
-        images[..., y0[:, None], x0[None, :]] * (1 - fx)[None, :]
-        + images[..., y0[:, None], x1[None, :]] * fx[None, :]
-    )
-    bottom = (
-        images[..., y1[:, None], x0[None, :]] * (1 - fx)[None, :]
-        + images[..., y1[:, None], x1[None, :]] * fx[None, :]
-    )
-    return top * (1 - fy)[:, None] + bottom * fy[:, None]
+    # Separable: interpolate along x on the source rows once, then
+    # gather the two source rows of each output row.  Every output value
+    # keeps the operations (and their order) of the direct 2-D form.
+    rows = images[..., x0] * (1 - fx) + images[..., x1] * fx
+    return (rows[..., y0, :] * (1 - fy)[:, None]
+            + rows[..., y1, :] * fy[:, None])
 
 
 def encode_amplitude(

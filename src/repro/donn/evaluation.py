@@ -37,10 +37,9 @@ def _iter_batches(data: Union[DataLoader, Dataset], batch_size: int = 256):
 
 
 #: Internal engine chunk size for evaluation-built engines.  The chunk
-#: bounds memory: the model's retained scratch pool (the engine's
-#: interior-row work buffer scales with chunk x n x padded_n) stays
-#: fixed whatever the data batch size.  Cache blocking lives in the
-#: hop (``repro.backend.hop``), not here.
+#: bounds memory: a chunk's fields (chunk x n x n) stay fixed whatever
+#: the data batch size.  Cache blocking lives in the hop
+#: (``repro.backend.hop``), not here.
 _ENGINE_MAX_BATCH = 64
 
 

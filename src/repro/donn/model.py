@@ -15,7 +15,7 @@ import numpy as np
 from ..autodiff import Module, Tensor, no_grad
 from ..autodiff import ops
 from ..optics import Propagator, SimulationGrid, constants
-from ..runtime import InferenceEngine, ScratchBuffers
+from ..runtime import InferenceEngine
 from .detectors import (
     DETECTOR_MODES,
     DetectorLayout,
@@ -147,9 +147,6 @@ class DONN(Module):
             gain=config.detector_gain,
             mode=spec.mode,
         )
-        #: Scratch pool shared by every engine built off this model, so
-        #: repeated ``predict`` calls reuse the same padded buffers.
-        self._scratch = ScratchBuffers()
 
     # ------------------------------------------------------------------
     # Encoding & forward
@@ -212,12 +209,9 @@ class DONN(Module):
         """Compile the current phase masks into an :class:`InferenceEngine`.
 
         The engine snapshots the modulations: rebuild (or ``refresh()``)
-        after further training.  Engines built here share this model's
-        scratch-buffer pool, so repeated short-lived engines do not
-        reallocate their padded work arrays.  Keyword arguments are
-        forwarded (``precision``, ``max_batch``, ``modulations``, ...).
+        after further training.  Keyword arguments are forwarded
+        (``precision``, ``max_batch``, ``modulations``, ...).
         """
-        kwargs.setdefault("buffers", self._scratch)
         return InferenceEngine(self, **kwargs)
 
     def intensity_map(self, inputs) -> np.ndarray:

@@ -434,7 +434,7 @@ class Trainer:
             if test_loader is not None:
                 # One engine for the whole fit: ``refresh()`` re-reads
                 # the phases in place, keeping the cached kernels and
-                # scratch buffers instead of recompiling every epoch.
+                # the readout matrix instead of recompiling every epoch.
                 if engine is None:
                     engine = self.model.inference_engine(
                         precision=engine_precision

@@ -5,11 +5,10 @@ the read-only fast path.  :mod:`~repro.runtime.kernel_cache` memoizes
 angular-spectrum / Fresnel transfer functions process-wide (one ``H``
 per unique geometry, shared by every :class:`~repro.optics.Propagator`
 and engine), and :class:`InferenceEngine` flattens a trained DONN into a
-batched, buffer-reusing NumPy pipeline with an optional single-precision
+batched NumPy pipeline with an optional single-precision
 mode.  See ``docs/performance.md``.
 """
 
-from .buffers import ScratchBuffers
 from .engine import InferenceEngine
 from .kernel_cache import (
     KernelKey,
@@ -22,7 +21,6 @@ from .kernel_cache import (
 
 __all__ = [
     "InferenceEngine",
-    "ScratchBuffers",
     "KernelKey",
     "PropagationKernel",
     "get_kernel",

@@ -9,11 +9,11 @@ overhead:
 * **shared propagation kernels** — every hop's transfer function comes
   from the process-wide :mod:`~repro.runtime.kernel_cache`, so the
   ``L + 1`` hops of an ``L``-layer stack share one precomputed ``H``;
-* **fused pad/modulate/crop** — the field lives as the interior rows
-  of the padded grid for the whole stack; each layer's phase mask is
-  embedded in padded rows (zeros outside the aperture), so the autodiff
-  path's ``crop -> modulate -> pad`` becomes a single multiply;
-* **preallocated scratch buffers** — reused across batches and chunks;
+* **fused pad/modulate/crop** — every hop is
+  :func:`repro.backend.hop.propagate_rows`, which embeds the aperture
+  field in its own padded planes and crops the result, so between hops
+  the field is a plain ``(batch, n, n)`` array and each layer's phase
+  mask is one in-place multiply;
 * **optional single precision** (``precision="single"``), roughly
   halving FFT memory bandwidth at ~1e-4 logit accuracy;
 * **batched, chunked execution** — a ``max_batch`` chunker streams
@@ -31,7 +31,6 @@ import numpy as np
 
 from ..backend import PRECISIONS
 from ..backend import hop as _hop
-from .buffers import ScratchBuffers
 from .kernel_cache import PropagationKernel, kernel_for_dtype
 
 __all__ = ["InferenceEngine"]
@@ -56,15 +55,12 @@ class InferenceEngine:
         forward) or ``"single"`` (complex64 fast path).
     max_batch:
         Largest number of samples propagated at once; bigger inputs are
-        streamed in chunks of this size.  The chunk bounds memory: the
-        engine's scratch holds ``max_batch * n * padded_n`` complex
-        elements.  Cache blocking lives in the hop
+        streamed in chunks of this size.  The chunk bounds memory: a
+        chunk's field and the hop's output are ``max_batch * n * n``
+        complex elements each.  Cache blocking lives in the hop
         (:func:`repro.backend.hop.propagate_rows`), but a chunk is one
-        hop's batch, so it also bounds how many cache blocks a hop can
-        spread over the FFT threads.
-    buffers:
-        Optional shared :class:`ScratchBuffers` pool (so many short-lived
-        engines over one model reuse the same scratch memory).
+        hop's batch, so it also bounds how far a hop can spread over the
+        FFT threads.
     source_modes:
         Optional ``(modes, n, n)`` complex screens modeling a *partially
         spatially coherent* source by mode decomposition (Filipovich et
@@ -82,7 +78,6 @@ class InferenceEngine:
         modulations: Optional[Sequence[np.ndarray]] = None,
         precision: str = "double",
         max_batch: int = 64,
-        buffers: Optional[ScratchBuffers] = None,
         source_modes: Optional[np.ndarray] = None,
     ) -> None:
         if precision not in PRECISIONS:
@@ -98,7 +93,6 @@ class InferenceEngine:
         self.max_batch = int(max_batch)
         self._cdtype = policy.complex_dtype
         self._rdtype = policy.real_dtype
-        self._buffers = buffers if buffers is not None else ScratchBuffers()
 
         self.n = int(model.config.n)
         #: One shared kernel per hop (L layer hops + the detector hop),
@@ -111,15 +105,6 @@ class InferenceEngine:
             kernel_for_dtype(propagator.kernel, self._cdtype)
             for propagator in propagators
         ]
-        pads = {k.pad for k in self._kernels}
-        sides = {k.padded_n for k in self._kernels}
-        if len(pads) != 1 or len(sides) != 1:
-            raise ValueError(
-                "InferenceEngine requires a uniform padded grid across "
-                f"hops, got pads={sorted(pads)} sides={sorted(sides)}"
-            )
-        self._pad = pads.pop()
-        self._padded_n = sides.pop()
         # The per-hop ortho scaling is folded into the shared kernel
         # (``PropagationKernel.prescaled``), so the hot loop runs
         # unscaled DFT passes; the prescaled array is shared as-is with
@@ -163,7 +148,7 @@ class InferenceEngine:
                 modes, dtype=self._cdtype
             )
 
-        self._modulation_rows: List[np.ndarray] = []
+        self._modulations: List[np.ndarray] = []
         self.refresh(modulations)
 
     # ------------------------------------------------------------------
@@ -174,11 +159,11 @@ class InferenceEngine:
     ) -> "InferenceEngine":
         """Re-snapshot the layer modulations (e.g. after more training).
 
-        Cheap by design: when the engine already holds its padded
-        modulation planes (always, after construction) the new values
-        are written into them in place — kernels, scratch buffers and
-        the readout matrix are untouched, so per-epoch evaluation during
-        training does not rebuild anything.  Returns ``self`` so it
+        Cheap by design: when the engine already holds its modulation
+        arrays (always, after construction) the new values are written
+        into them in place — kernels and the readout matrix are
+        untouched, so per-epoch evaluation during training does not
+        rebuild anything.  Returns ``self`` so it
         chains: ``engine.refresh().predict(x)``.
         """
         if modulations is None:
@@ -188,7 +173,7 @@ class InferenceEngine:
                 f"got {len(modulations)} modulations for "
                 f"{len(self.model.layers)} layers"
             )
-        n, pad, side = self.n, self._pad, self._padded_n
+        n = self.n
         checked = []
         for index, modulation in enumerate(modulations):
             modulation = np.asarray(modulation)
@@ -200,20 +185,12 @@ class InferenceEngine:
             checked.append(modulation)
         # All inputs validated: from here the update cannot fail, so a
         # rejected refresh never leaves the engine half-updated.
-        reuse = len(self._modulation_rows) == len(checked)
-        padded = self._modulation_rows if reuse else []
-        for index, modulation in enumerate(checked):
-            # Only the interior rows of the padded plane are ever
-            # touched (see ``_propagate_chunk``); zeros outside the
-            # aperture columns fuse the autodiff path's
-            # crop -> modulate -> re-pad into one in-place multiply.
-            if reuse:
-                padded[index][:, pad:pad + n] = modulation
-            else:
-                rows = np.zeros((n, side), dtype=self._cdtype)
-                rows[:, pad:pad + n] = modulation
-                padded.append(rows)
-        self._modulation_rows = padded
+        if len(self._modulations) == len(checked):
+            for held, modulation in zip(self._modulations, checked):
+                held[...] = modulation
+        else:
+            self._modulations = [np.array(modulation, dtype=self._cdtype)
+                                 for modulation in checked]
         return self
 
     # ------------------------------------------------------------------
@@ -242,35 +219,27 @@ class InferenceEngine:
     # Hot loop
     # ------------------------------------------------------------------
     def _propagate_chunk(self, fields: np.ndarray) -> np.ndarray:
-        """Run one chunk through the stack; returns the *cropped*
-        detector field ``(batch, n, n)``.
+        """Run one chunk through the stack; returns the detector field
+        cropped to the aperture, ``(batch, n, n)``.
 
-        The field lives as the ``n`` interior rows ``(batch, n, side)``
-        of the padded grid for the whole stack, and every hop is
-        :func:`repro.backend.hop.propagate_rows`, which owns the padded
-        plane.  Each hop's input is exactly zero outside the aperture
-        columns (the padded modulation rows zero everything they touch
-        there), which is the invariant that hop relies on.
+        Every hop is :func:`repro.backend.hop.propagate_rows`, which
+        owns the padded plane: it takes and returns aperture fields, so
+        each layer's modulation multiplies the hop's fresh output in
+        place.
         """
-        batch = fields.shape[0]
-        n, pad, side = self.n, self._pad, self._padded_n
-        work = self._buffers.zeros("field", (batch, n, side), self._cdtype)
-        work[:, :, pad:pad + n] = fields
-        last = len(self._hs) - 1
-        for hop, h in enumerate(self._hs):
-            inner = _hop.propagate_rows(work, h, pad)
-            if hop < last:
-                np.multiply(inner, self._modulation_rows[hop], out=work)
-        return inner[:, :, pad:pad + n]
+        field = fields
+        for hop, (h, kernel) in enumerate(zip(self._hs, self._kernels)):
+            field = _hop.propagate_rows(field, h, kernel.pad)
+            if hop < len(self._modulations):
+                np.multiply(field, self._modulations[hop], out=field)
+        return field
 
     def _intensity_chunk(self, fields: np.ndarray) -> np.ndarray:
         """Detector-plane intensity ``(batch, n, n)`` for one chunk.
 
         With ``source_modes`` set, each mutually incoherent screen is
         propagated separately and the intensities average (the mode
-        decomposition of a partially coherent source); the accumulation
-        lives outside the propagation scratch, so the per-mode reuse of
-        ``_propagate_chunk``'s buffers is safe.
+        decomposition of a partially coherent source).
         """
         if self._source_modes is None:
             crop = self._propagate_chunk(fields)
@@ -343,7 +312,7 @@ class InferenceEngine:
 
     def __repr__(self) -> str:
         return (
-            f"InferenceEngine(layers={len(self._modulation_rows)}, "
-            f"n={self.n}, padded_n={self._padded_n}, "
+            f"InferenceEngine(layers={len(self._modulations)}, "
+            f"n={self.n}, padded_n={self._kernels[0].padded_n}, "
             f"precision={self.precision!r}, max_batch={self.max_batch})"
         )

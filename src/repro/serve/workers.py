@@ -14,8 +14,8 @@ Backends
 ``"thread"`` (default)
     Shards are single-worker thread executors inside this process.  All
     engines share the process-wide propagation-kernel cache (one ``H``
-    total) and scratch buffers are per-thread, so memory overhead per
-    extra shard is its weights and padded scratch planes.  scipy's FFT
+    total) and the hop's padded planes live for one call, so memory
+    overhead per extra shard is its weights.  scipy's FFT
     releases the GIL, which is where the parallelism comes from.
 ``"process"``
     Shards are single-worker *process* executors; each child builds its

@@ -129,15 +129,16 @@ class TestChildren:
 
 class TestFork:
     def test_forked_child_spreads_a_hop(self, monkeypatch, spy_fft_threads):
-        # The parent's multi-block hop builds the shared helper pool.
+        # The parent's spread hop builds the shared helper pool.
         rng = spawn_rng(0)
         n, pad, side = 8, 8, 24
-        rows = (rng.standard_normal((7, n, side))
-                + 1j * rng.standard_normal((7, n, side)))
+        fields = (rng.standard_normal((7, n, n))
+                  + 1j * rng.standard_normal((7, n, n)))
         h = rng.standard_normal((side, side)) + 0j
-        monkeypatch.setattr(hop, "_BLOCK_BYTES", side * side * 16)
+        monkeypatch.setattr(hop, "_BLOCK_BYTES", h.nbytes)
+        monkeypatch.setattr(hop, "_THREAD_MIN_BYTES", h.nbytes)
         dispatch.set_workers(2)
-        expected = hop.propagate_rows(rows, h, pad)
+        expected = hop.propagate_rows(fields, h, pad)
         assert hop._HELPERS is not None
 
         read, write = os.pipe()
@@ -149,7 +150,7 @@ class TestFork:
             try:
                 os.close(read)
                 threads = spy_fft_threads(split=True)
-                out = hop.propagate_rows(rows, h, pad)
+                out = hop.propagate_rows(fields, h, pad)
                 ok = np.array_equal(out, expected) and len(threads) > 1
                 os.write(write, b"1" if ok else b"0")
             finally:

@@ -14,7 +14,7 @@ from repro.donn.encoding import encode_amplitude
 from repro.donn.evaluation import deployed_accuracy
 from repro.data import DataLoader, make_dataset
 from repro.optics import CrosstalkModel
-from repro.runtime import InferenceEngine, ScratchBuffers
+from repro.runtime import InferenceEngine
 from repro.twopi import TwoPiConfig, TwoPiOptimizer, forward_invariance_gap
 
 
@@ -145,9 +145,9 @@ class TestEquivalence:
     def test_refresh_reuses_modulation_planes_in_place(self, images):
         model = DONN(DONNConfig.laptop(n=20), rng=spawn_rng(6))
         engine = InferenceEngine(model)
-        planes_before = [id(rows) for rows in engine._modulation_rows]
+        planes_before = [id(plane) for plane in engine._modulations]
         engine.refresh()
-        assert [id(rows) for rows in engine._modulation_rows] == planes_before
+        assert [id(plane) for plane in engine._modulations] == planes_before
 
     def test_rejected_refresh_leaves_engine_intact(self, images):
         # A failed refresh must not leave the in-place update half done.
@@ -193,15 +193,13 @@ class TestKernelSharing:
         assert engine._kernels[0] is model.layers[0].propagator.kernel
         assert engine._kernels[-1] is model.to_detector.kernel
 
-    def test_engines_share_scratch_through_model_pool(self, model, images):
-        first = model.inference_engine()
-        first.logits(images)
-        second = model.inference_engine()
-        second.logits(images)
-        assert first._buffers is second._buffers is model._scratch
-
 
 class TestScratchBuffers:
+    """Scratch is per call: the hop's padded planes belong to the call
+    that made them, so concurrent engines over one model (sharing only
+    the hop's helper-thread pool) and copied models carry no shared
+    buffers."""
+
     def test_concurrent_inference_on_shared_pool_is_correct(self, model,
                                                             images):
         import threading
@@ -221,23 +219,6 @@ class TestScratchBuffers:
             thread.join()
         for logits in results.values():
             assert np.abs(logits - expected).max() < 1e-12
-
-
-    def test_buffers_are_reused_and_rezeroed(self):
-        pool = ScratchBuffers()
-        a = pool.zeros("x", (4, 8, 8), np.complex128)
-        a[:] = 1.0
-        b = pool.zeros("x", (4, 8, 8), np.complex128)
-        assert b.base is a.base or b is a
-        assert not b.any()
-
-    def test_smaller_batch_views_large_buffer(self):
-        pool = ScratchBuffers()
-        big = pool.zeros("x", (8, 4, 4), np.float64)
-        small = pool.zeros("x", (3, 4, 4), np.float64)
-        assert small.shape == (3, 4, 4)
-        assert small.base is (big if big.base is None else big.base)
-        assert pool.nbytes() == big.nbytes
 
     def test_model_survives_pickle_and_deepcopy(self, images):
         import copy
