@@ -65,7 +65,19 @@ def gradcheck(
     atol: float = 1e-6,
 ) -> bool:
     """Compare analytic and numeric gradients; raise ``AssertionError`` on
-    mismatch, return ``True`` on success (pytest-friendly)."""
+    mismatch, return ``True`` on success (pytest-friendly).
+
+    Every parameter must be a leaf: ``backward`` keeps gradients on
+    leaves only, so a non-leaf (``param + shift``, say) raises
+    ``ValueError`` instead of checking an all-zero analytic gradient.
+    Put such a shift inside ``fn``.
+    """
+    for position, param in enumerate(params):
+        if not param.is_leaf:
+            raise ValueError(
+                f"gradcheck parameter #{position} is not a leaf tensor; "
+                f"gradients accumulate on leaves only"
+            )
     for param in params:
         param.zero_grad()
     loss = fn()

@@ -109,8 +109,9 @@ class Tensor:
             )
         self.requires_grad: bool = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        #: Graph edges: sequence of (parent tensor, vjp callable).
-        self._parents: Tuple[Tuple["Tensor", VjpFn], ...] = ()
+        #: Graph edges: sequence of (parent tensor, vjp callable); ``None``
+        #: once a backward pass has released them.
+        self._parents: Optional[Tuple[Tuple["Tensor", VjpFn], ...]] = ()
         self.name = name
 
     # ------------------------------------------------------------------
@@ -138,8 +139,9 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        """True when this tensor was not produced by a recorded operation."""
-        return not self._parents
+        """True when this tensor was not produced by a recorded operation
+        (a node whose graph ``backward`` released stays a non-leaf)."""
+        return self._parents == ()
 
     def __len__(self) -> int:
         return len(self.data)
@@ -185,6 +187,20 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
+        Gradients accumulate into :attr:`grad` of the *leaves* only (the
+        tensors that require gradients and were not produced by a
+        recorded operation), as in PyTorch: an intermediate's gradient
+        lives only while the pass needs it.
+
+        The pass also releases the graph it runs: once a non-leaf node
+        has passed its gradient on, it drops its edges, and with them
+        the vjp closures and the activations they hold, so a training
+        step holds one graph at a time.  A released node stays a
+        non-leaf, and a later ``backward`` that reaches one (a second
+        call on the same root, or another root sharing an intermediate)
+        raises ``RuntimeError`` before touching any gradient; recompute
+        the forward instead.
+
         Parameters
         ----------
         grad:
@@ -212,16 +228,21 @@ class Tensor:
 
         order = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in order:
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.is_leaf or node.requires_grad:
+        for index, node in enumerate(order):
+            # Every child of ``node`` ran before it and dropped its edges,
+            # so this is the last reference the pass holds: a processed
+            # node (and its output array) is freed as soon as the caller
+            # holds none either.
+            order[index] = None
+            node_grad = grads.pop(id(node))
+            if node.is_leaf:
                 if node.grad is None:
                     node.grad = np.array(node_grad, copy=True)
                 else:
                     node.grad = node.grad + node_grad
-            for parent, vjp in node._parents:
+                continue
+            edges, node._parents = node._parents, None
+            for parent, vjp in edges:
                 contrib = vjp(node_grad)
                 contrib = _coerce_to_parent(contrib, parent)
                 key = id(parent)
@@ -360,6 +381,11 @@ def _topological_order(root: Tensor) -> list:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise RuntimeError(
+                "backward() reached a tensor whose graph an earlier "
+                "backward() released; recompute the forward pass"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:

@@ -170,8 +170,8 @@ def _run_blocks(fields: np.ndarray, h: np.ndarray, pad: int, block: int,
         rows[:, :, :pad] = 0
         rows[:, :, pad + n:] = 0
         rows[:, :, aperture] = fields[start:stop]
-        work[:, aperture, :] = _fft.fft(rows, axis=-1, overwrite_x=True,
-                                        workers=workers)
+        _land(rows, _fft.fft(rows, axis=-1, overwrite_x=True,
+                             workers=workers))
         spectrum = _fft.fft(work, axis=-2, overwrite_x=True,
                             workers=workers)
         np.multiply(spectrum, h, out=spectrum)
@@ -180,3 +180,11 @@ def _run_blocks(fields: np.ndarray, h: np.ndarray, pad: int, block: int,
         out[start:stop] = _fft.ifft(tall[:, aperture, :], axis=-1,
                                     norm="forward", overwrite_x=True,
                                     workers=workers)[:, :, aperture]
+
+
+def _land(target: np.ndarray, result: np.ndarray) -> None:
+    """Make ``target`` hold ``result``, a transform of it.  scipy writes
+    an ``overwrite_x`` transform into its input, so only a backend that
+    returns a fresh array (the numpy fallback) pays for a copy."""
+    if not np.shares_memory(result, target):
+        target[...] = result

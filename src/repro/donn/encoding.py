@@ -99,4 +99,6 @@ def encode_amplitude(
     dtype = np.dtype(dtype)
     if dtype.kind != "c":
         raise TypeError(f"encoded fields are complex, got dtype {dtype}")
-    return amplitude.astype(dtype)
+    # C order: the resize leaves the batch axis innermost, and the first
+    # hop embeds each sample's field as contiguous rows.
+    return amplitude.astype(dtype, order="C")

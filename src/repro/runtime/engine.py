@@ -17,7 +17,9 @@ overhead:
 * **optional single precision** (``precision="single"``), roughly
   halving FFT memory bandwidth at ~1e-4 logit accuracy;
 * **batched, chunked execution** — a ``max_batch`` chunker streams
-  arbitrarily large workloads at bounded memory.
+  arbitrarily large workloads at bounded memory: raw images are
+  encoded one chunk at a time, so peak memory follows ``max_batch``,
+  not the input size.
 
 The engine snapshots the model's modulations at construction time; build
 a fresh engine (or call :meth:`refresh`) after the phases change.
@@ -57,7 +59,9 @@ class InferenceEngine:
         Largest number of samples propagated at once; bigger inputs are
         streamed in chunks of this size.  The chunk bounds memory: a
         chunk's field and the hop's output are ``max_batch * n * n``
-        complex elements each.  Cache blocking lives in the hop
+        complex elements each, and raw images are encoded a chunk at a
+        time, so the whole input is never held as fields.  Cache
+        blocking lives in the hop
         (:func:`repro.backend.hop.propagate_rows`), but a chunk is one
         hop's batch, so it also bounds how far a hop can spread over the
         FFT threads.
@@ -196,8 +200,13 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Input handling
     # ------------------------------------------------------------------
-    def _as_fields(self, inputs) -> tuple:
-        """Return ``(fields (batch, n, n) complex, was_unbatched)``."""
+    def _as_batch(self, inputs) -> tuple:
+        """Return ``(batch, to_fields, was_unbatched)``.
+
+        ``batch`` is the batched input array and ``to_fields`` turns a
+        slice of its rows into ``(rows, n, n)`` complex fields: the
+        identity for fields, the amplitude encoder for raw images.
+        """
         data = getattr(inputs, "data", inputs)  # accept stray Tensors
         data = np.asarray(data)
         if np.iscomplexobj(data):
@@ -208,12 +217,23 @@ class InferenceEngine:
                     f"field shape {data.shape} does not match grid "
                     f"n={self.n}"
                 )
-            return fields, unbatched
+            return fields, lambda rows: rows, unbatched
         from ..donn.encoding import encode_amplitude
 
-        # Raw images always come back batched from the encoder (matching
-        # the autodiff path, which never squeezes encoded inputs).
-        return encode_amplitude(data, self.n, dtype=self._cdtype), False
+        if data.ndim not in (2, 3):
+            raise ValueError(
+                f"expected (batch, h, w) or (h, w) images, got shape "
+                f"{data.shape}"
+            )
+        # Raw images always come back batched (matching the autodiff
+        # path, which never squeezes encoded inputs).  The encoder is
+        # per sample (each field's power is its own sum), so encoding a
+        # chunk gives the rows encoding the whole batch would.
+        images = data[None] if data.ndim == 2 else data
+        return (images,
+                lambda rows: encode_amplitude(rows, self.n,
+                                              dtype=self._cdtype),
+                False)
 
     # ------------------------------------------------------------------
     # Hot loop
@@ -270,40 +290,44 @@ class InferenceEngine:
             logits = logits / (total + 1e-20) * self._gain
         return logits
 
-    def _run_chunked(self, fields: np.ndarray, chunk_fn, out_shape,
-                     out_dtype) -> np.ndarray:
-        batch = fields.shape[0]
-        out = np.empty((batch,) + out_shape, dtype=out_dtype)
-        for start in range(0, batch, self.max_batch):
-            stop = min(start + self.max_batch, batch)
-            out[start:stop] = chunk_fn(fields[start:stop])
-        return out
+    def _run_chunked(self, inputs, chunk_fn, out_shape,
+                     out_dtype) -> tuple:
+        """Run ``chunk_fn`` over ``max_batch``-row chunks of ``inputs``;
+        returns ``(out, was_unbatched)``.
+
+        Raw images are encoded a chunk at a time, so no more than one
+        chunk's fields exist at once whatever the input size.
+        """
+        batch, to_fields, unbatched = self._as_batch(inputs)
+        out = np.empty((len(batch),) + out_shape, dtype=out_dtype)
+        for start in range(0, len(batch), self.max_batch):
+            stop = min(start + self.max_batch, len(batch))
+            out[start:stop] = chunk_fn(to_fields(batch[start:stop]))
+        return out, unbatched
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def logits(self, inputs) -> np.ndarray:
         """Class logits ``(batch, num_classes)`` (unbatched in -> 1-D out)."""
-        fields, unbatched = self._as_fields(inputs)
-        logits = self._run_chunked(
-            fields, self._logits_chunk, (self.num_classes,), self._rdtype
+        logits, unbatched = self._run_chunked(
+            inputs, self._logits_chunk, (self.num_classes,), self._rdtype
         )
         return logits[0] if unbatched else logits
 
     def predict(self, inputs) -> np.ndarray:
         """Predicted class labels (argmax of detector sums)."""
-        fields, _ = self._as_fields(inputs)
-        return self._run_chunked(
-            fields,
+        labels, _ = self._run_chunked(
+            inputs,
             lambda chunk: np.argmax(self._logits_chunk(chunk), axis=-1),
             (), np.int64,
         )
+        return labels
 
     def intensity_map(self, inputs) -> np.ndarray:
         """Detector-plane intensity pattern(s), for visualization."""
-        fields, unbatched = self._as_fields(inputs)
-        intensity = self._run_chunked(
-            fields, self._intensity_chunk, (self.n, self.n), self._rdtype
+        intensity, unbatched = self._run_chunked(
+            inputs, self._intensity_chunk, (self.n, self.n), self._rdtype
         )
         return intensity[0] if unbatched else intensity
 

@@ -50,8 +50,9 @@ class TestComplexArithmetic:
         gradcheck(lambda: ops.sum(ops.abs2(a @ b)), [a, b])
 
     def test_complex_power(self):
-        z = make_complex_param((3,), 109) + Tensor(np.full(3, 2.0 + 2j))
-        gradcheck(lambda: ops.sum(ops.abs2(z ** 2)), [z])
+        z = make_complex_param((3,), 109)
+        shift = Tensor(np.full(3, 2.0 + 2j))
+        gradcheck(lambda: ops.sum(ops.abs2((z + shift) ** 2)), [z])
 
 
 class TestComplexStructureOps:
@@ -64,8 +65,9 @@ class TestComplexStructureOps:
         gradcheck(lambda: ops.sum(ops.abs2(r)), [r])
 
     def test_absolute_complex(self):
-        z = make_complex_param((3,), 112) + Tensor(np.full(3, 3.0 + 3j))
-        gradcheck(lambda: ops.sum(ops.absolute(z)), [z])
+        z = make_complex_param((3,), 112)
+        shift = Tensor(np.full(3, 3.0 + 3j))
+        gradcheck(lambda: ops.sum(ops.absolute(z + shift)), [z])
 
     def test_absolute_complex_zero_is_safe(self):
         z = Tensor(np.zeros(2, dtype=complex), requires_grad=True)

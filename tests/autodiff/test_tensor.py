@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, as_tensor, is_grad_enabled, no_grad
-from repro.autodiff import ops
+from repro.autodiff import gradcheck, ops
 
 
 class TestConstruction:
@@ -121,6 +121,52 @@ class TestGraphStructure:
         y = x + 1.0
         assert x.is_leaf
         assert not y.is_leaf
+
+
+class TestGraphRelease:
+    """``backward`` keeps ``.grad`` on leaves only and releases the graph
+    it ran; reaching a released node again is an error, never a silent
+    stop."""
+
+    def test_intermediates_hold_no_grad(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * x
+        loss = ops.sum(y * 3.0)
+        loss.backward()
+        assert y.grad is None and loss.grad is None
+        assert np.allclose(x.grad, 6.0 * x.data)
+        # Released, a node stays a non-leaf: it never starts collecting.
+        assert not y.is_leaf and y.requires_grad
+
+    def test_second_backward_on_the_same_root_raises(self):
+        x = Tensor(1.5, requires_grad=True)
+        y = x * x
+        y.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            y.backward()
+        assert x.grad == pytest.approx(3.0)  # the failed pass added nothing
+
+    def test_second_root_over_a_shared_intermediate_raises(self):
+        x = Tensor(1.5, requires_grad=True)
+        shared = x * x
+        first = shared + 1.0
+        second = shared * 2.0
+        first.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            second.backward()
+        assert x.grad == pytest.approx(3.0)
+
+    def test_leaf_root_keeps_working(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        x.backward(np.full(2, 2.0))
+        x.backward(np.full(2, 3.0))
+        assert np.allclose(x.grad, 5.0)
+
+    def test_gradcheck_rejects_a_non_leaf_parameter(self):
+        z = Tensor(np.ones(3), requires_grad=True)
+        shifted = z + 1.0
+        with pytest.raises(ValueError, match="#1 is not a leaf"):
+            gradcheck(lambda: ops.sum(shifted * shifted), [z, shifted])
 
 
 class TestNoGrad:

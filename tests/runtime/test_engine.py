@@ -97,6 +97,33 @@ class TestEquivalence:
                           in ((0, 1), (1, 12), (12, 13), (13, 67))]
                 assert np.array_equal(np.concatenate(splits), alone)
 
+    def test_raw_images_are_encoded_one_chunk_at_a_time(self, model,
+                                                        monkeypatch):
+        # Peak memory follows max_batch, not the input size: 7 raw
+        # images at max_batch 3 are encoded as 3 + 3 + 1 rows, and the
+        # rows equal each image run alone.
+        from repro.donn import encoding
+
+        images = spawn_rng(3).random((7, 28, 28))
+        single = InferenceEngine(model, max_batch=1)
+        outputs = ("predict", "logits", "intensity_map")
+        alone = {name: np.concatenate([getattr(single, name)(images[i:i + 1])
+                                       for i in range(len(images))])
+                 for name in outputs}
+        encode = encoding.encode_amplitude
+        rows = []
+
+        def counting(images, *args, **kwargs):
+            rows.append(len(images))
+            return encode(images, *args, **kwargs)
+
+        monkeypatch.setattr(encoding, "encode_amplitude", counting)
+        engine = InferenceEngine(model, max_batch=3)
+        for name in outputs:
+            rows.clear()
+            assert np.array_equal(getattr(engine, name)(images), alone[name])
+            assert rows == [3, 3, 1]
+
     def test_predict_matches_model(self, model, images):
         engine = InferenceEngine(model)
         np.testing.assert_array_equal(
