@@ -815,18 +815,21 @@ def _bench_serve_model(args, samples) -> Optional[dict]:
         if cluster:
             stats["replicas"] = snapshot["replicas"] = args.replicas
             counts = target.metrics.as_dict()
+            totals = target.metrics.counter_totals()
             hedges = {outcome: int(counts.get(
                 f'repro_router_hedges_total{{outcome="{outcome}"}}', 0))
                 for outcome in ("won", "lost")}
-            failovers = int(counts.get("repro_router_failovers_total", 0))
-            snapshot["router"] = {"hedges": hedges, "failovers": failovers}
+            failovers = int(totals.get("repro_router_failovers_total", 0))
+            ejections = int(totals.get("repro_router_ejections_total", 0))
+            snapshot["router"] = {"hedges": hedges, "failovers": failovers,
+                                  "ejections": ejections}
         else:
             stats["batcher"] = target.stats()["batcher"]
         if plan:
             health = stats["health"] = target.health()
             if cluster:
                 detail = (f"replica respawns {health['restarts']}, "
-                          f"failovers {failovers}, "
+                          f"failovers {failovers}, ejections {ejections}, "
                           f"quarantined {health['quarantined']}")
             else:
                 detail = (f"restarts {health['restarts']}, "

@@ -20,8 +20,8 @@ The serving story on top of :mod:`repro.runtime`:
 * :class:`ReplicaSet` + :class:`Router` — the replication tier: N
   process-backed Server replicas supervised like shards (respawn,
   bounded restarts, quarantine) behind a health-probing router with
-  least-loaded routing, bounded byte-identical failover, per-replica
-  circuit breakers and optional request hedging
+  least-loaded routing, bounded byte-identical failover, ejection of a
+  replica whose requests keep failing, and optional request hedging
   (``repro serve --replicas N``).
 * :mod:`repro.serve.bench` — the load generator and chaos harness
   behind ``repro bench-serve``.
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .faults import FaultPlan, FaultSpec
 from .http import HTTPFrontend
-from .router import BREAKER_STATES, MEMBER_STATES, Router, RouterConfig
+from .router import MEMBER_STATES, Router, RouterConfig
 from .server import ServeConfig, Server
 from .workers import REQUEST_KINDS, SHARD_STATES, ShardedPool
 
@@ -70,7 +70,6 @@ __all__ = [
     "Router",
     "RouterConfig",
     "MEMBER_STATES",
-    "BREAKER_STATES",
     "http_sender",
     "run_load",
     "verified_load",

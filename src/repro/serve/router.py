@@ -8,18 +8,20 @@ pure and deterministic, so retrying a request on a different replica is
 invisible to the client — responses are relayed as the replica's raw
 bytes, byte-identical no matter which replica answered.
 
-Membership state machine (driven by periodic ``/healthz`` probes)::
+Membership state machine (driven by periodic ``/healthz`` probes and
+by request outcomes)::
 
-            probe ok                   probe fail
-    [ok] <------------ [suspect] ------------------+
-      |    probe fail       ^                      | x eject_after
-      +-------------------- | -----+               v
-                            |      |          [ejected]
-            x rejoin_after  |      |               |
-    [rejoining] ------------+      |    probe ok   |
-        ^  |                       |               |
-        |  +-- probe fail ---------+---------------+
-        +------------------------------------------+
+              probe fail                  probe fail x eject_after
+    [ok] ------------------> [suspect] -------------------------+
+     ^ |  <------------------     |                             |
+     | |       probe ok           |  request strike             v
+     | +--------------------------+--------------------->  [ejected]
+     |                              x eject_after_requests    ^  |
+     |                                                        |  |
+     | x rejoin_after                    probe fail           |  |
+    [rejoining] ----------------------------------------------+  |
+         ^                           probe ok                    |
+         +-------------------------------------------------------+
 
 ``ok`` and ``suspect`` members receive traffic (suspect = deprioritized
 but routable — one blip must not eject a healthy replica); ``ejected``
@@ -27,11 +29,14 @@ members only receive probes.  A respawned replica re-enters at
 ``rejoining`` and must pass ``rejoin_after`` consecutive probes before
 carrying full weight.
 
-On top of membership, each member carries a **circuit breaker**
-(closed / open / half-open): consecutive *request* failures — which a
-probe cycle may be too slow to see — open the breaker, shedding load
-from a sick replica immediately; after ``breaker_cooldown`` one
-half-open trial request probes it, and a success closes the breaker.
+A replica can pass ``/healthz`` while its predictions fail, and a probe
+cycle may be too slow to see it anyway, so requests strike too: a
+connection error, 500 or 503 is a *strike*, and ``eject_after_requests``
+consecutive strikes eject a routable member at once.  A 429 is neutral
+(the replica is healthy, just full); any other answer, or a respawn,
+clears the streak.  Probes never clear it: only probes readmit an
+ejected member, and one that still fails is ejected again on its first
+failed request.
 
 Routing is least-loaded (router-tracked inflight per member, round-robin
 tie-break) with bounded failover: connection errors and 429/500/503
@@ -69,19 +74,16 @@ __all__ = [
     "Router",
     "RouterConfig",
     "MEMBER_STATES",
-    "BREAKER_STATES",
 ]
 
 #: Membership states a replica walks through (see module docstring).
 MEMBER_STATES = ("ok", "suspect", "ejected", "rejoining")
 
-#: Circuit-breaker states.
-BREAKER_STATES = ("closed", "open", "half_open")
-
 #: Response statuses that move a request to another replica.  429/503
 #: mean "this replica can't take it right now"; 500 covers injected
 #: chaos faults and genuine replica bugs — the deterministic engine
-#: makes the retry safe either way.
+#: makes the retry safe either way.  All but 429 (healthy, just full)
+#: are strikes against the replica.
 _FAILOVER_STATUSES = frozenset({429, 500, 503})
 
 #: Headers copied from the client request to the replica request.
@@ -119,16 +121,13 @@ class RouterConfig:
     Membership: replicas are probed every ``probe_interval`` seconds
     (timeout ``probe_timeout``); ``eject_after`` consecutive failures
     walk ok -> suspect -> ejected, ``rejoin_after`` consecutive
-    successes walk ejected -> rejoining -> ok.
+    successes walk ejected -> rejoining -> ok.  ``eject_after_requests``
+    consecutive failed requests eject a routable member at once.
 
     Failover: up to ``max_failover`` *additional* replicas are tried
     per request, sleeping a jittered exponential backoff (base
     ``failover_backoff``, cap ``failover_backoff_cap``) between
     attempts.
-
-    Breaker: ``breaker_threshold`` consecutive request failures open a
-    member's breaker; after ``breaker_cooldown`` seconds one half-open
-    trial request is allowed through.
 
     Hedging: ``hedge_ms`` (``None`` = off) duplicates a request to a
     second replica once the primary has been silent that long.
@@ -141,8 +140,7 @@ class RouterConfig:
     max_failover: int = 3
     failover_backoff: float = 0.02
     failover_backoff_cap: float = 0.25
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 1.0
+    eject_after_requests: int = 5
     hedge_ms: Optional[float] = None
     request_timeout: float = 60.0
     retry_after: float = 1.0
@@ -154,86 +152,24 @@ class RouterConfig:
             raise ValueError("rejoin_after must be >= 1")
         if self.max_failover < 0:
             raise ValueError("max_failover must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
+        if self.eject_after_requests < 1:
+            raise ValueError("eject_after_requests must be >= 1")
         if self.hedge_ms is not None and self.hedge_ms <= 0:
             raise ValueError("hedge_ms must be > 0 (or None to disable)")
-
-
-class CircuitBreaker:
-    """Closed / open / half-open breaker for one member.
-
-    Counts *consecutive* request failures (connection errors, 5xx).
-    429 does not count — an admission-full replica is healthy, just
-    busy.  All methods are called under the router's membership lock.
-    """
-
-    def __init__(self, threshold: int, cooldown: float) -> None:
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.opened_at: Optional[float] = None
-        self._trial_inflight = False
-
-    def allow(self) -> bool:
-        """May a request go to this member right now?  Transitions
-        open -> half_open when the cooldown has elapsed, and claims the
-        single half-open trial slot when it returns True."""
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            if time.monotonic() - self.opened_at < self.cooldown:
-                return False
-            self.state = "half_open"
-            self._trial_inflight = False
-        # half_open: exactly one trial request probes the member.
-        if self._trial_inflight:
-            return False
-        self._trial_inflight = True
-        return True
-
-    def record_success(self) -> None:
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self._trial_inflight = False
-
-    def record_failure(self) -> None:
-        self._trial_inflight = False
-        if self.state == "half_open":
-            self._open()
-            return
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.threshold:
-            self._open()
-
-    def record_neutral(self) -> None:
-        """A 429: the member is healthy, just full.  Admission pressure
-        must not trip the breaker, nor clear an earlier failure streak;
-        a half-open trial that got one proved nothing, so the breaker
-        reopens for another cooldown."""
-        if self._trial_inflight and self.state == "half_open":
-            self._open()
-        self._trial_inflight = False
-
-    def _open(self) -> None:
-        self.state = "open"
-        self.opened_at = time.monotonic()
 
 
 class _Member:
     """Router-side view of one replica."""
 
-    def __init__(self, replica_id: str, url: str,
-                 breaker: CircuitBreaker) -> None:
+    def __init__(self, replica_id: str, url: str) -> None:
         self.id = replica_id
         self.url = url
         self.state = "rejoining"  # must earn trust via probes
-        self.breaker = breaker
         self.admitted = False  # has it ever reached "ok"?
         self.inflight = 0
         self.probe_failures = 0   # consecutive
         self.probe_successes = 0  # consecutive
+        self.request_failures = 0  # consecutive strikes
         self.last_status: Optional[str] = None  # replica-reported
         # Idle keep-alive connections to ``url``, most recent last.
         self.idle: List[http.client.HTTPConnection] = []
@@ -246,9 +182,9 @@ class _Member:
             "id": self.id,
             "url": self.url,
             "state": self.state,
-            "breaker": self.breaker.state,
             "inflight": self.inflight,
             "probe_failures": self.probe_failures,
+            "request_failures": self.request_failures,
             "probe_failures_total": probe_failures_total,
             "last_status": self.last_status,
         }
@@ -259,7 +195,8 @@ _Response = Tuple[int, Dict[str, str], bytes]
 
 
 class Router:
-    """Route requests across replicas; own membership via health probes.
+    """Route requests across replicas; own membership via health probes
+    and request outcomes.
 
     ``endpoints`` is a static list of replica URLs (or ``(id, url)``
     pairs) for externally managed replicas; ``replica_set`` attaches a
@@ -320,7 +257,8 @@ class Router:
             "connection error or failover-able status (429/500/503).")
         self._m_ejections = self.metrics.counter(
             "repro_router_ejections_total",
-            "Members ejected from the routable set, by replica.",
+            "Members ejected from the routable set by probes or by "
+            "request strikes, by replica.",
             labelnames=("replica",))
         self._m_rejoins = self.metrics.counter(
             "repro_router_rejoins_total",
@@ -352,10 +290,6 @@ class Router:
             "repro_router_replica_state",
             "Membership one-hot: 1 for the replica's current state.",
             labelnames=("replica", "state"))
-        self._m_breaker = self.metrics.gauge(
-            "repro_router_breaker_state",
-            "Circuit-breaker one-hot: 1 for the replica's current state.",
-            labelnames=("replica", "state"))
         self._m_inflight = self.metrics.gauge(
             "repro_router_replica_inflight",
             "Requests the router currently has outstanding per replica.",
@@ -374,20 +308,15 @@ class Router:
                 for member in self._members.values()]
 
     def _collect_metrics(self) -> None:
-        """Scrape-time mirror of membership/breaker/supervision state."""
+        """Scrape-time mirror of membership/supervision state."""
         with self._lock:
             snapshots = self._members_as_dicts()
         self._m_state.clear()
-        self._m_breaker.clear()
         self._m_inflight.clear()
         for snap in snapshots:
             for state in MEMBER_STATES:
                 self._m_state.set(
                     1.0 if snap["state"] == state else 0.0,
-                    replica=snap["id"], state=state)
-            for state in BREAKER_STATES:
-                self._m_breaker.set(
-                    1.0 if snap["breaker"] == state else 0.0,
                     replica=snap["id"], state=state)
             self._m_inflight.set(float(snap["inflight"]),
                                  replica=snap["id"])
@@ -407,9 +336,9 @@ class Router:
     def _refresh_membership(self) -> None:
         """Reconcile members against the current endpoint list: new ids
         join at ``rejoining``, respawned ids (same id, new URL) restart
-        their walk at ``rejoining``, vanished ids (quarantined/stopped
-        replicas) are dropped.  Both of the last two close the member's
-        idle connections."""
+        their walk at ``rejoining`` with a clean request streak, vanished
+        ids (quarantined/stopped replicas) are dropped.  Both of the last
+        two close the member's idle connections."""
         endpoints = self._endpoints()
         stale: List[http.client.HTTPConnection] = []
         with self._lock:
@@ -418,10 +347,7 @@ class Router:
                 seen.add(replica_id)
                 member = self._members.get(replica_id)
                 if member is None:
-                    self._members[replica_id] = _Member(
-                        replica_id, url,
-                        CircuitBreaker(self.config.breaker_threshold,
-                                       self.config.breaker_cooldown))
+                    self._members[replica_id] = _Member(replica_id, url)
                 elif member.url != url:
                     # Respawned under a new port: same identity, zero
                     # trust — walk rejoining -> ok again.
@@ -429,7 +355,7 @@ class Router:
                     member.state = "rejoining"
                     member.probe_failures = 0
                     member.probe_successes = 0
-                    member.breaker.record_success()
+                    member.request_failures = 0
                     stale += member.idle
                     member.idle = []
             for replica_id in list(self._members):
@@ -496,11 +422,13 @@ class Router:
             member.state = "suspect"
         elif member.state == "suspect" and \
                 member.probe_failures >= self.config.eject_after:
-            member.state = "ejected"
-            self._m_ejections.inc(replica=member.id)
+            self._eject(member)
         elif member.state == "rejoining":
-            member.state = "ejected"
-            self._m_ejections.inc(replica=member.id)
+            self._eject(member)
+
+    def _eject(self, member: _Member) -> None:
+        member.state = "ejected"
+        self._m_ejections.inc(replica=member.id)
 
     def _prober_loop(self) -> None:
         while not self._stop.wait(self.config.probe_interval):
@@ -559,38 +487,41 @@ class Router:
     # Routing
     # ------------------------------------------------------------------
     def _acquire(self, exclude: set) -> Optional[_Member]:
-        """Pick the least-loaded routable member not in ``exclude``
-        whose breaker admits a request; reserve an inflight slot."""
+        """Pick the least-loaded routable member not in ``exclude``;
+        reserve an inflight slot."""
         with self._lock:
             candidates = [member for member in self._members.values()
                           if member.routable() and member.id not in exclude]
+            if not candidates:
+                return None
             # ok before suspect, then least-loaded, then round-robin.
             order = {member.id: position for position, member
                      in enumerate(self._members.values())}
             members_count = max(1, len(self._members))
-            candidates.sort(key=lambda member: (
+            member = min(candidates, key=lambda member: (
                 0 if member.state == "ok" else 1,
                 member.inflight,
                 (order[member.id] - self._rr) % members_count,
             ))
-            for member in candidates:
-                if member.breaker.allow():
-                    member.inflight += 1
-                    self._rr += 1
-                    return member
-            return None
+            member.inflight += 1
+            self._rr += 1
+            return member
 
     def _release(self, member: _Member, status: Optional[int]) -> None:
-        """Return ``member``'s inflight slot and feed its breaker the
-        attempt's outcome (``status`` None = no HTTP response)."""
+        """Return ``member``'s inflight slot and score the attempt's
+        outcome (``status`` None = no HTTP response): a strike, neutral
+        (429) or clean."""
         with self._lock:
             member.inflight = max(0, member.inflight - 1)
             if status == 429:
-                member.breaker.record_neutral()
-            elif status is None or status in _FAILOVER_STATUSES:
-                member.breaker.record_failure()
-            else:
-                member.breaker.record_success()
+                return
+            if status is not None and status not in _FAILOVER_STATUSES:
+                member.request_failures = 0
+                return
+            member.request_failures += 1
+            if member.routable() and member.request_failures >= \
+                    self.config.eject_after_requests:
+                self._eject(member)
 
     def _checkin(self, member: _Member, url: str,
                  conn: http.client.HTTPConnection) -> None:
@@ -788,7 +719,8 @@ class Router:
         with self._lock:
             states = {member.id: member.state
                       for member in self._members.values()}
-        return f"Router(members={states}, draining={self._draining})"
+            draining = self._draining
+        return f"Router(members={states}, draining={draining})"
 
 
 class _RouterHandler(JSONHandler):

@@ -251,3 +251,22 @@ class TestReplicaChaos:
         elapsed = time.perf_counter() - start
         assert answers == [("predict", i) for i in range(4)]
         assert elapsed < 0.5, f"4 delayed requests took {elapsed:.2f} s"
+
+    def test_sick_replica_is_ejected_then_readmitted(
+            self, artifact, tmp_path, capsys):
+        # Replica 0 answers 500 to its first 8 predictions while its
+        # /healthz passes: request strikes eject it, probes readmit it,
+        # and every answer stays byte-identical (the CLI's --check).
+        from repro.cli import main
+
+        output = tmp_path / "sick.json"
+        assert main(["bench-serve", "--model", artifact, "--replicas", "2",
+                     "--requests", "64", "--concurrency", "8",
+                     "--faults", "error:replica=0,times=8", "--check",
+                     "--output", str(output)]) == 0
+        printed = capsys.readouterr().out
+        assert "health ok" in printed and "byte-identical" in printed
+        snapshot = json.loads(output.read_text())
+        assert snapshot["router"]["ejections"] >= 1
+        assert {m["state"] for m in snapshot["load"]["health"][
+            "replicas"]} == {"ok"}

@@ -2,7 +2,7 @@
 
 The Router only speaks HTTP, so a tiny scriptable stub server stands in
 for a replica: its health and response behavior are mutated per test to
-drive the membership state machine, the circuit breaker, failover and
+drive the membership state machine, request strikes, failover and
 hedging deterministically — ``probe_once()`` replaces the background
 prober, so no test depends on wall-clock probe timing.
 """
@@ -18,13 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.obs.metrics import parse_prometheus
-from repro.serve.router import (
-    BREAKER_STATES,
-    MEMBER_STATES,
-    CircuitBreaker,
-    Router,
-    RouterConfig,
-)
+from repro.serve.router import MEMBER_STATES, Router, RouterConfig
 
 
 class QuietServer(ThreadingHTTPServer):
@@ -158,6 +152,16 @@ def make_router(stubs, **overrides):
 
 
 BODY = json.dumps({"inputs": [[0.0]]}).encode()
+
+
+def members(router):
+    return {member["id"]: member for member in router.health()["replicas"]}
+
+
+def ejections(router):
+    parsed = parse_prometheus(router.metrics_text())
+    return parsed.get("repro_router_ejections_total",
+                      {"samples": {}})["samples"]
 
 
 class TestMembership:
@@ -298,62 +302,107 @@ class TestRouting:
         assert stubs[0].requests + stubs[1].requests == 0
 
 
-class TestCircuitBreaker:
-    def test_states_constant(self):
-        assert BREAKER_STATES == ("closed", "open", "half_open")
-
-    def test_unit_walk(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=0.02)
-        assert breaker.allow() and breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        time.sleep(0.03)
-        assert breaker.allow()  # half-open trial slot
-        assert breaker.state == "half_open"
-        assert not breaker.allow()  # only one trial at a time
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=0.02)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        time.sleep(0.03)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-
+class TestRequestStrikes:
     def test_sick_replica_sheds_load_then_recovers(self, stubs):
+        # s0 fails every prediction while its /healthz passes.
         stubs[0].status_script = [500] * 100
         stubs[1].answer = {"predictions": 1}
-        router = make_router(stubs, breaker_threshold=2,
-                             breaker_cooldown=0.05, max_failover=1)
+        router = make_router(stubs, eject_after_requests=2, max_failover=1)
         for _ in range(6):
             status, _, _ = router.forward("/v1/predict", BODY)
             assert status == 200
-        # Breaker opened after 2 consecutive failures: s0 stopped
-        # receiving requests even though its membership is still ok.
-        hits_while_open = stubs[0].requests
-        assert hits_while_open <= 4
+        # Two consecutive strikes ejected s0 at once, between probes.
+        assert stubs[0].requests == 2
+        assert members(router)["s0"]["state"] == "ejected"
         for _ in range(3):
             router.forward("/v1/predict", BODY)
-        assert stubs[0].requests == hits_while_open
-        health = router.health()
-        state = {m["id"]: m["breaker"] for m in health["replicas"]}
-        assert state["s0"] == "open"
-        # Cooldown passes, the stub heals: one trial request closes it.
+        assert stubs[0].requests == 2  # no traffic while ejected
+        # The stub heals; probe rounds readmit it and it serves again.
         stubs[0].status_script = []
         stubs[0].answer = {"predictions": 1}
-        time.sleep(0.06)
+        assert router.probe_once()["s0"] == "rejoining"
+        assert router.probe_once()["s0"] == "ok"
         for _ in range(6):
+            assert router.forward("/v1/predict", BODY)[0] == 200
+        assert stubs[0].requests > 2
+        assert members(router)["s0"]["state"] == "ok"
+        assert members(router)["s0"]["request_failures"] == 0
+
+    def test_request_ejection_degrades_health_and_is_counted(self, stubs):
+        stubs[0].status_script = [500] * 3
+        router = make_router(stubs, eject_after_requests=3, max_failover=1)
+        for _ in range(6):
+            assert router.forward("/v1/predict", BODY)[0] == 200
+        health = router.health()
+        assert health["status"] == "degraded"
+        sick = members(router)["s0"]
+        assert (sick["state"], sick["request_failures"],
+                sick["probe_failures"]) == ("ejected", 3, 0)
+        assert ejections(router) == {
+            'repro_router_ejections_total{replica="s0"}': 1}
+
+    def test_inflight_failures_after_ejection_count_once(self, stubs):
+        # Both replicas are slow, so eight requests split four and four;
+        # s0's first failure ejects it, its other three strike an
+        # ejected member.
+        stubs[0].status_script = [500] * 4
+        for stub in stubs:
+            stub.delay_s = 0.2
+        router = make_router(stubs, eject_after_requests=1, max_failover=1)
+        statuses = []
+        workers = [threading.Thread(target=lambda: statuses.append(
+            router.forward("/v1/predict", BODY)[0])) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert statuses == [200] * 8
+        assert stubs[0].requests == 4
+        sick = members(router)["s0"]
+        assert (sick["state"], sick["request_failures"]) == ("ejected", 4)
+        assert ejections(router) == {
+            'repro_router_ejections_total{replica="s0"}': 1}
+
+    def test_readmitted_member_that_fails_is_ejected_at_once(self, stubs):
+        stubs[0].status_script = [500] * 100  # /healthz still passes
+        router = make_router(stubs, eject_after_requests=3, max_failover=1)
+        for _ in range(3):
             router.forward("/v1/predict", BODY)
-        assert stubs[0].requests > hits_while_open
-        state = {m["id"]: m["breaker"]
-                 for m in router.health()["replicas"]}
-        assert state["s0"] == "closed"
+        assert members(router)["s0"]["state"] == "ejected"
+        router.probe_once()
+        assert router.probe_once()["s0"] == "ok"
+        # Passing probes readmit s0 but do not clear its streak.
+        assert members(router)["s0"]["request_failures"] == 3
+        hits = stubs[0].requests
+        for _ in range(2):
+            assert router.forward("/v1/predict", BODY)[0] == 200
+        assert stubs[0].requests == hits + 1
+        assert members(router)["s0"]["state"] == "ejected"
+        assert ejections(router) == {
+            'repro_router_ejections_total{replica="s0"}': 2}
+
+    def test_respawn_clears_request_failures(self, stubs):
+        replica_set = FakeReplicaSet(stubs)
+        router = Router(replica_set=replica_set, config=RouterConfig(
+            rejoin_after=1, eject_after_requests=5,
+            failover_backoff=0.001, failover_backoff_cap=0.005))
+        router.probe_once()
+        stubs[0].status_script = [500] * 100
+        for _ in range(2):
+            assert router.forward("/v1/predict", BODY)[0] == 200
+        assert members(router)["s0"]["request_failures"] == \
+            stubs[0].requests > 0
+        respawned = StubReplica()  # same id, new port
+        try:
+            replica_set.stubs = [respawned, stubs[1]]
+            router.probe_once()  # rejoining, then ok at rejoin_after=1
+            member = members(router)["s0"]
+            assert member["url"] == respawned.url
+            assert (member["state"], member["request_failures"]) == (
+                "ok", 0)
+            router.stop()
+        finally:
+            respawned.stop()
 
 
 class TestHedging:
@@ -484,36 +533,29 @@ class TestRouterHTTP:
 class TestBreakerNeutral:
     """429 is neutral: the replica is healthy, just full."""
 
-    def test_429_on_half_open_trial_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=0.02)
-        breaker.record_failure()
-        time.sleep(0.03)
-        assert breaker.allow() and breaker.state == "half_open"
-        opened_before = breaker.opened_at
-        breaker.record_neutral()
-        assert breaker.state == "open"
-        assert breaker.opened_at > opened_before
-        assert not breaker.allow()  # a fresh cooldown, not a free trial
-
-    def test_429_neither_counts_toward_nor_clears_a_streak(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=60.0)
-        breaker.record_neutral()
-        breaker.record_neutral()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # the 429s did not count
-        breaker.record_neutral()
-        breaker.record_failure()
-        assert breaker.state == "open"  # nor did they clear the streak
+    def test_429_neither_counts_toward_nor_clears_a_streak(self, stubs):
+        # One replica, no failover: every answer is s0's own.
+        stubs[0].status_script = [500, 429, 429, 500]
+        router = make_router(stubs[:1], eject_after_requests=2,
+                             max_failover=0)
+        for expected in (500, 429, 429):
+            assert router.forward("/v1/predict", BODY)[0] == expected
+        sick = members(router)["s0"]
+        # The 429s did not count...
+        assert (sick["state"], sick["request_failures"]) == ("ok", 1)
+        assert router.forward("/v1/predict", BODY)[0] == 500
+        # ...nor did they clear the streak.
+        assert members(router)["s0"]["state"] == "ejected"
 
     def test_router_429_leaves_breaker_closed(self, stubs):
         stubs[0].status_script = [429] * 10
         stubs[1].status_script = [429] * 10
-        router = make_router(stubs, breaker_threshold=1, max_failover=1)
+        router = make_router(stubs, eject_after_requests=1, max_failover=1)
         for _ in range(3):
             status, _, _ = router.forward("/v1/predict", BODY)
             assert status == 429
-        assert {m["breaker"] for m in router.health()["replicas"]} == {
-            "closed"}
+        assert {(m["state"], m["request_failures"])
+                for m in router.health()["replicas"]} == {("ok", 0)}
 
 
 class FakeReplicaSet:
@@ -595,7 +637,7 @@ class TestUpstreamPool:
         # The replicas close keep-alive sockets idle for 0.2 s.
         stubs = [StubReplica(idle_timeout=0.2) for _ in range(2)]
         try:
-            router = make_router(stubs, breaker_threshold=1)
+            router = make_router(stubs, eject_after_requests=1)
             for _ in range(2):
                 assert router.forward("/v1/predict", BODY)[0] == 200
             assert eventually(lambda: all(stub.open_connections == 0
@@ -607,9 +649,9 @@ class TestUpstreamPool:
             parsed = parse_prometheus(router.metrics_text())
             assert sum(parsed["repro_router_failovers_total"][
                 "samples"].values()) == 0
-            # One failure would have opened a threshold-1 breaker.
-            assert {m["breaker"] for m in router.health()["replicas"]} == {
-                "closed"}
+            # One strike would have ejected the member.
+            assert {m["state"] for m in router.health()["replicas"]} == {
+                "ok"}
             assert [stub.requests for stub in stubs] == [2, 2]
             assert upstream_connects(router) == 4
             router.stop()
@@ -619,21 +661,21 @@ class TestUpstreamPool:
 
     def test_timeout_is_not_retried(self, stubs):
         router = make_router(stubs, request_timeout=0.2, max_failover=1,
-                             breaker_threshold=1)
+                             eject_after_requests=1)
         for _ in range(2):
             router.forward("/v1/predict", BODY)
         for stub in stubs:
             stub.delay_s = 0.5
         status, _, _ = router.forward("/v1/predict", BODY)
         # Each replica was asked once: a timed-out pooled connection is a
-        # failed attempt (failover, breaker), never a silent retry.
+        # failed attempt (failover, strike), never a silent retry.
         assert status == 503
         assert [stub.requests for stub in stubs] == [2, 2]
         parsed = parse_prometheus(router.metrics_text())
         assert sum(parsed["repro_router_failovers_total"][
             "samples"].values()) == 1
-        assert {m["breaker"] for m in router.health()["replicas"]} == {
-            "open"}
+        assert {m["state"] for m in router.health()["replicas"]} == {
+            "ejected"}
         router.stop()
 
     def test_respawned_and_dropped_members_close_idle_connections(
